@@ -307,7 +307,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.check:
         failures = check_invariants(result)
         for warning in check_warnings(result):
-            # Amdahl-capped floor breaches: visible, but not fatal
+            # Amdahl-capped and wall-clock floor breaches (forward,
+            # attention, host_parallel): visible, but not fatal
             print(f"invariant WARNING: {warning}", file=sys.stderr)
         if failures:
             for failure in failures:

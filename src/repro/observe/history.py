@@ -8,11 +8,14 @@ per-section metrics worth trending, the git sha — and
 last *k* same-shape records with a MAD band around it, so one noisy CI
 host does not fail the build and a real regression does.
 
-Two metric tiers, mirroring how ``check_invariants`` treats
-``amdahl_capped`` sections: **hard** metrics are modelled µs — fully
-deterministic for a given seed and shape, so even a small move is a
-code change and fails the gate; **soft** metrics are host wall-clock —
-machine-dependent, so a move outside a much wider band only warns.
+Two metric tiers, mirroring how ``check_invariants`` treats floors:
+**hard** metrics are modelled µs — fully deterministic for a given seed
+and shape, so even a small move is a code change and fails the gate;
+**soft** metrics are host wall-clock — machine-dependent, so a move
+outside a much wider band only warns, just as ``check_invariants``
+leaves the ``amdahl_capped`` and ``wall_clock_floor`` sections
+(``forward``, ``attention``, ``host_parallel``) to ``check_warnings``
+on every host.
 """
 
 from __future__ import annotations
