@@ -21,6 +21,20 @@ only the affected call — the graph itself is immutable, so a mid-replay
 must always happen on a hook-free context (see :func:`capture`): a
 hooked capture would bake latency spikes into the cached times.
 
+Replay into a *fresh* context (no records, elapsed 0.0) costs
+O(eligible launches), not O(launches).  Each graph holds the prefix sums
+of its times, accumulated in the context's own order, and, per target
+prefix tuple, the indices of the launches a
+:class:`~repro.gpusim.stream.TargetedLaunchHook` (a ``FaultPlan``) can
+touch.  Only those launches reach the hook, in order; the context adopts
+the stream's prefix lazily (see
+:meth:`~repro.gpusim.stream.ExecutionContext.adopt_prefix`), so the
+records are built only if something reads them.  A fault leaves the
+prefix up to the faulted launch; a stretched launch is appended eagerly
+and the per-launch loop takes over from the next one.  A non-fresh
+context, a :class:`~repro.gpusim.stream.NullContext` or any other hook
+takes the per-launch loop from the start.
+
 :class:`GraphCache` is the LRU keyed store with the hit/miss/eviction
 counters that :mod:`repro.gpusim.profiler` surfaces.
 """
@@ -28,13 +42,19 @@ counters that :mod:`repro.gpusim.profiler` surfaces.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Callable, Hashable
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.interconnect import ClusterSpec
 from repro.gpusim.kernel import KernelLaunch
-from repro.gpusim.stream import ExecutionContext
+from repro.gpusim.stream import (
+    ExecutionContext,
+    NullContext,
+    TargetedLaunchHook,
+    targeted_hook,
+)
 from repro.telemetry import current_telemetry
 
 
@@ -56,6 +76,14 @@ class LaunchGraph:
     #: cross-topology replay would smuggle one fabric's timings onto
     #: another.
     cluster: ClusterSpec | None = None
+    #: ``starts_us[i]`` is launch ``i``'s start on a fresh context and
+    #: ``starts_us[-1]`` the stream's total: the running sum of
+    #: ``times_us`` from 0.0, in the order a context accumulates it
+    starts_us: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    #: eligible launch indices per hook target-prefix tuple
+    _eligible: dict[tuple[str, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if len(self.launches) != len(self.times_us):
@@ -63,6 +91,9 @@ class LaunchGraph:
                 f"{len(self.launches)} launches but "
                 f"{len(self.times_us)} times"
             )
+        object.__setattr__(
+            self, "starts_us", tuple(accumulate(self.times_us, initial=0.0))
+        )
 
     @classmethod
     def from_context(cls, ctx: ExecutionContext) -> "LaunchGraph":
@@ -79,12 +110,22 @@ class LaunchGraph:
 
     @property
     def modelled_us(self) -> float:
-        """Fault-free total time of the stream (incremental sum, so it
-        equals ``elapsed_us`` of a hook-free replay bit for bit)."""
-        total = 0.0
-        for t in self.times_us:
-            total += t
-        return total
+        """Fault-free total time of the stream: the last prefix sum, so it
+        equals ``elapsed_us`` of a hook-free replay bit for bit."""
+        return self.starts_us[-1]
+
+    def eligible(self, prefixes: tuple[str, ...]) -> tuple[int, ...]:
+        """Indices of the launches whose name starts with one of
+        ``prefixes`` (every launch for ``()``), cached per tuple."""
+        indices = self._eligible.get(prefixes)
+        if indices is None:
+            indices = tuple(
+                i
+                for i, launch in enumerate(self.launches)
+                if not prefixes or launch.name.startswith(prefixes)
+            )
+            self._eligible[prefixes] = indices
+        return indices
 
     def replay(self, ctx: ExecutionContext) -> float:
         """Re-emit the captured stream into ``ctx``; returns the delta
@@ -98,6 +139,11 @@ class LaunchGraph:
         the ones :func:`~repro.gpusim.timing.kernel_time_us` would
         recompute, so the replayed records are bit-identical to eager
         execution.
+
+        Into a fresh context with no hook or a
+        :class:`~repro.gpusim.stream.TargetedLaunchHook`, only eligible
+        launches are visited (see the module docstring); the result,
+        the records and the hook's effects are the same.
         """
         if ctx.device != self.device:
             raise ValueError(
@@ -111,11 +157,54 @@ class LaunchGraph:
                 f"graph captured on topology {mine!r} cannot replay on "
                 f"{theirs!r}"
             )
+        hook = ctx.launch_hook
+        owner = targeted_hook(hook)
+        if (
+            (hook is None or owner is not None)
+            and ctx.is_fresh()
+            and not isinstance(ctx, NullContext)
+        ):
+            return self._replay_fresh(ctx, owner)
         before = ctx.elapsed_us()
-        replay_launch = ctx.replay_launch
-        for launch, time_us in zip(self.launches, self.times_us):
-            replay_launch(launch, time_us)
+        self._replay_each(ctx)
         return ctx.elapsed_us() - before
+
+    def _replay_each(self, ctx: ExecutionContext, first: int = 0) -> None:
+        """The per-launch loop: every launch from ``first`` on goes
+        through :meth:`ExecutionContext.replay_launch` and its hook."""
+        replay_launch = ctx.replay_launch
+        for launch, time_us in zip(
+            self.launches[first:], self.times_us[first:]
+        ):
+            replay_launch(launch, time_us)
+
+    def _replay_fresh(
+        self, ctx: ExecutionContext, owner: TargetedLaunchHook | None
+    ) -> float:
+        """Replay into a fresh context visiting only eligible launches."""
+        prefixes = owner.launch_targets if owner is not None else None
+        if prefixes is not None:
+            hook = owner.on_launch
+            for i in self.eligible(prefixes):
+                launch = self.launches[i]
+                try:
+                    factor = hook(launch, i)
+                except BaseException:
+                    ctx.adopt_prefix(
+                        self.launches, self.times_us, self.starts_us, i
+                    )
+                    raise
+                if factor != 1.0:
+                    ctx.adopt_prefix(
+                        self.launches, self.times_us, self.starts_us, i
+                    )
+                    ctx.append_record(launch, self.times_us[i] * factor)
+                    self._replay_each(ctx, i + 1)
+                    return ctx.elapsed_us()
+        ctx.adopt_prefix(
+            self.launches, self.times_us, self.starts_us, len(self)
+        )
+        return self.starts_us[-1]
 
 
 def capture(

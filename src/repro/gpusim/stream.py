@@ -8,13 +8,20 @@ prices the launch against its device and accumulates a timeline.  A
 A module-level *current context* (managed with :func:`use_context`) lets
 deeply nested code record launches without threading the context through
 every call signature; explicit passing always takes precedence.
+
+A context's :attr:`ExecutionContext.records` are materialised lazily.
+A graph replay into a fresh context (see
+:meth:`repro.gpusim.graph.LaunchGraph.replay`) only adopts the captured
+stream's prefix sums; the :class:`KernelRecord` objects are built, bit
+for bit as the per-launch path would build them, the first time
+anything reads ``records`` or appends to the context.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Protocol, Sequence
 
 from repro.gpusim.device import A100_SPEC, DeviceSpec
 from repro.gpusim.errors import LaunchConfigError
@@ -29,6 +36,33 @@ from repro.gpusim.timing import kernel_time_us
 #: timeline stays consistent up to the fault).  Returning 1.0 leaves the
 #: launch untouched; a larger factor models a latency spike.
 LaunchHook = Callable[[KernelLaunch, int], float]
+
+
+class TargetedLaunchHook(Protocol):
+    """An object whose bound ``on_launch`` is a launch hook that acts
+    only on a declared subset of launches.
+
+    :attr:`launch_targets` is ``None`` when the hook can touch no launch
+    at all, else the kernel-name prefixes of the launches it may act on
+    (``()`` for every launch).  For any other launch ``on_launch`` must
+    return exactly 1.0 and change no state.  Graph replay relies on
+    that promise to call the hook only for eligible launches; any other
+    hook sees every launch.
+    """
+
+    @property
+    def launch_targets(self) -> tuple[str, ...] | None: ...
+
+    def on_launch(self, launch: KernelLaunch, index: int) -> float: ...
+
+
+def targeted_hook(hook: LaunchHook | None) -> TargetedLaunchHook | None:
+    """The :class:`TargetedLaunchHook` behind ``hook``, if ``hook`` is
+    exactly its bound ``on_launch``; else ``None``."""
+    owner = getattr(hook, "__self__", None)
+    if hasattr(type(owner), "launch_targets") and hook == owner.on_launch:
+        return owner
+    return None
 
 
 @dataclass(frozen=True)
@@ -63,12 +97,65 @@ class ExecutionContext:
         #: for a single-device context.  Collective launches require it
         #: — they are priced by the cluster's link model.
         self.cluster = cluster
-        self.records: list[KernelRecord] = []
+        self._records: list[KernelRecord] = []
+        #: a not-yet-materialised record prefix, ``(launches, times_us,
+        #: starts_us, count)`` — see :meth:`adopt_prefix`
+        self._lazy: tuple[
+            Sequence[KernelLaunch], Sequence[float], Sequence[float], int
+        ] | None = None
         self._elapsed_us = 0.0
         #: optional fault-injection hook (see :data:`LaunchHook`); the
         #: default ``None`` keeps the launch path byte-identical to a
         #: hook-free context
         self.launch_hook: LaunchHook | None = None
+
+    @property
+    def records(self) -> list[KernelRecord]:
+        """The priced launches in order; a lazily adopted prefix is
+        materialised on first access."""
+        if self._lazy is not None:
+            self._materialize()
+        return self._records
+
+    def _materialize(self) -> None:
+        launches, times_us, starts_us, count = self._lazy
+        self._lazy = None
+        self._records[:0] = map(
+            KernelRecord,
+            launches[:count],
+            times_us[:count],
+            starts_us[:count],
+        )
+
+    def is_fresh(self) -> bool:
+        """No launch recorded (eagerly or lazily) and no elapsed time."""
+        return (
+            self._lazy is None
+            and not self._records
+            and self._elapsed_us == 0.0
+        )
+
+    def adopt_prefix(
+        self,
+        launches: Sequence[KernelLaunch],
+        times_us: Sequence[float],
+        starts_us: Sequence[float],
+        count: int,
+    ) -> None:
+        """Make the first ``count`` launches of a captured stream this
+        fresh context's timeline without building their records.
+
+        ``starts_us`` holds the stream's prefix sums (``starts_us[i]``
+        is launch ``i``'s start, ``starts_us[count]`` the end of the
+        adopted prefix), accumulated exactly as :meth:`replay_launch`
+        accumulates :attr:`_elapsed_us`, so the records materialised
+        later are bit-identical to a per-launch replay's.
+        """
+        if not self.is_fresh():
+            raise ValueError("adopt_prefix needs a fresh context")
+        if count:
+            self._lazy = (launches, times_us, starts_us, count)
+        self._elapsed_us = starts_us[count]
 
     def _price(self, launch: KernelLaunch) -> float:
         """Base modelled time: device roofline, or the cluster link
@@ -92,12 +179,7 @@ class ExecutionContext:
         time_us = self._price(launch)
         if self.launch_hook is not None:
             time_us *= self.launch_hook(launch, len(self.records))
-        record = KernelRecord(
-            launch=launch, time_us=time_us, start_us=self._elapsed_us
-        )
-        self.records.append(record)
-        self._elapsed_us += time_us
-        return record
+        return self.append_record(launch, time_us)
 
     def replay_launch(
         self, launch: KernelLaunch, base_time_us: float
@@ -114,6 +196,13 @@ class ExecutionContext:
         time_us = base_time_us
         if self.launch_hook is not None:
             time_us *= self.launch_hook(launch, len(self.records))
+        return self.append_record(launch, time_us)
+
+    def append_record(
+        self, launch: KernelLaunch, time_us: float
+    ) -> KernelRecord:
+        """Append ``launch`` at its final modelled time (no pricing, no
+        hook) to the end of the timeline."""
         record = KernelRecord(
             launch=launch, time_us=time_us, start_us=self._elapsed_us
         )
@@ -135,7 +224,8 @@ class ExecutionContext:
         return sum(r.launch.dram_bytes for r in self.records)
 
     def reset(self) -> None:
-        self.records.clear()
+        self._lazy = None
+        self._records.clear()
         self._elapsed_us = 0.0
 
     def fork(self) -> "ExecutionContext":

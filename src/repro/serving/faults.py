@@ -114,7 +114,9 @@ class FaultPlan:
     the decision for the N-th eligible launch depends only on ``seed``
     and N — replaying the same launch stream under the same seed
     reproduces the same faults, which is what makes chaos runs
-    assertable in tests.
+    assertable in tests.  It implements
+    :class:`~repro.gpusim.stream.TargetedLaunchHook`, so a graph replay
+    into a fresh context calls it for eligible launches only.
     """
 
     def __init__(self, spec: FaultSpec, seed: int = 0) -> None:
@@ -122,12 +124,25 @@ class FaultPlan:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._ordinal = 0
+        #: a zero-rate spec can neither fault nor stretch a launch
+        self._inert = spec.fault_rate == 0.0
         self.injected: list[InjectedFault] = []
 
+    @property
+    def launch_targets(self) -> tuple[str, ...] | None:
+        """The launches :meth:`on_launch` can touch, as the
+        :class:`~repro.gpusim.stream.TargetedLaunchHook` protocol states
+        them: ``None`` for a zero-rate spec, else its target prefixes."""
+        return None if self._inert else self.spec.target_prefixes
+
     def on_launch(self, launch: KernelLaunch, index: int) -> float:
-        """Launch-hook entry point: decide this launch's fate."""
+        """Launch-hook entry point: decide this launch's fate.
+
+        A zero-rate spec can neither fault nor stretch a launch, so it
+        draws nothing; that changes no observable outcome.
+        """
         del index  # position in the plan, not the context, keys the draw
-        if not self.spec.targets(launch.name):
+        if self._inert or not self.spec.targets(launch.name):
             return 1.0
         ordinal = self._ordinal
         self._ordinal += 1

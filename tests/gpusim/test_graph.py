@@ -6,7 +6,10 @@ import pytest
 from repro.gpusim import A100_SPEC, V100_SPEC, ExecutionContext, KernelLaunch
 from repro.gpusim.errors import LaunchFailure
 from repro.gpusim.graph import GraphCache, LaunchGraph, capture
-from repro.serving.faults import FaultPlan, FaultSpec
+from repro.gpusim.profiler import ProfileReport
+from repro.gpusim.stream import NullContext
+from repro.gpusim.trace import to_chrome_trace
+from repro.serving.faults import NO_FAULTS, FaultPlan, FaultSpec
 
 
 def launch(name="k", grid=64, flops=1e6):
@@ -138,6 +141,135 @@ class TestHookComposition:
         assert (graph.launches, graph.times_us) == before
         retry = ExecutionContext(A100_SPEC)
         assert graph.replay(retry) == graph.modelled_us
+
+
+def fast_and_eager(plan_factory=None):
+    """The stream replayed into a fresh context (the fast path) and run
+    eagerly, each under its own plan from ``plan_factory``."""
+    graph, _ = capture(A100_SPEC, stream_fn)
+    fast, eager = ExecutionContext(A100_SPEC), ExecutionContext(A100_SPEC)
+    if plan_factory is not None:
+        plan_factory().install(fast)
+        plan_factory().install(eager)
+    graph.replay(fast)
+    stream_fn(eager)
+    return graph, fast, eager
+
+
+class TestLazyRecords:
+    def test_fast_replay_builds_no_records_until_read(self):
+        graph, fast, eager = fast_and_eager()
+        assert fast._lazy is not None and fast._records == []
+        assert fast.elapsed_us() == eager.elapsed_us()
+        assert fast.records == eager.records
+        assert [r.start_us for r in fast.records] == list(graph.starts_us[:-1])
+        assert fast._lazy is None and fast.records is fast.records
+
+    def test_counts_and_flops_match_eager(self):
+        _, fast, eager = fast_and_eager()
+        assert fast.kernel_count() == eager.kernel_count() == 6
+        assert fast.total_flops() == eager.total_flops()
+        assert fast.total_dram_bytes() == eager.total_dram_bytes()
+
+    def test_merge_either_way_matches_eager(self):
+        prior = launch(name="warmup", grid=8)
+        _, fast, eager = fast_and_eager()
+        into_fast, into_eager = context_with(prior), context_with(prior)
+        into_fast.merge(fast)
+        into_eager.merge(eager)
+        assert into_fast.records == into_eager.records
+        assert into_fast.elapsed_us() == into_eager.elapsed_us()
+
+        _, fast, eager = fast_and_eager()
+        fast.merge(context_with(prior))
+        eager.merge(context_with(prior))
+        assert fast.records == eager.records
+        assert fast.elapsed_us() == eager.elapsed_us()
+
+    def test_fork_and_reset(self):
+        graph, fast, _ = fast_and_eager()
+        child = fast.fork()
+        assert child.is_fresh() and child.device == fast.device
+        assert fast._lazy is not None  # forking reads no records
+        fast.reset()
+        assert fast.is_fresh() and fast.records == []
+        assert graph.replay(fast) == graph.modelled_us
+        assert len(fast.records) == len(graph)
+
+    def test_second_replay_appends_after_lazy_prefix(self):
+        graph, fast, eager = fast_and_eager()
+        graph.replay(fast)  # not fresh: the per-launch loop
+        stream_fn(eager)
+        assert fast.records == eager.records
+        assert fast.elapsed_us() == eager.elapsed_us()
+
+    def test_profile_report_and_chrome_trace_match_eager(self):
+        _, fast, eager = fast_and_eager()
+        assert ProfileReport.from_context(fast) == ProfileReport.from_context(
+            eager
+        )
+        _, fast, eager = fast_and_eager()
+        assert to_chrome_trace(fast) == to_chrome_trace(eager)
+
+    def test_fault_plan_mid_replay_fault_leaves_eager_partial_timeline(self):
+        spec = FaultSpec(launch_failure_rate=0.3, target_prefixes=("k2", "k4"))
+        seed = next(s for s in range(100) if faulting_index(spec, s) == 4)
+        graph, _ = capture(A100_SPEC, stream_fn)
+
+        eager, eager_plan = ExecutionContext(A100_SPEC), FaultPlan(spec, seed)
+        eager_plan.install(eager)
+        with pytest.raises(LaunchFailure) as eager_err:
+            stream_fn(eager)
+        fast, fast_plan = ExecutionContext(A100_SPEC), FaultPlan(spec, seed)
+        fast_plan.install(fast)
+        with pytest.raises(LaunchFailure) as fast_err:
+            graph.replay(fast)
+
+        assert fast._lazy is not None  # the fast path took the fault
+        assert str(fast_err.value) == str(eager_err.value)
+        assert fast_plan.injected == eager_plan.injected
+        assert fast.elapsed_us() == eager.elapsed_us() == graph.starts_us[4]
+        assert fast.records == eager.records and len(fast.records) == 4
+
+    def test_slow_spike_hands_over_to_per_launch_loop(self):
+        spec = FaultSpec(slow_rate=0.5, slow_factor=4.0)
+        graph, fast, eager = fast_and_eager(lambda: FaultPlan(spec, seed=3))
+        assert any(
+            r.time_us != t for r, t in zip(eager.records, graph.times_us)
+        )
+        assert fast.records == eager.records
+        assert fast.elapsed_us() == eager.elapsed_us()
+
+    def test_zero_rate_plan_is_hook_free(self):
+        plan = FaultPlan(NO_FAULTS, seed=0)
+        _, fast, eager = fast_and_eager(lambda: plan)
+        assert fast._lazy is not None  # adopted without visiting launches
+        assert fast.records == eager.records
+        assert plan.injected == [] and plan._ordinal == 0
+
+    def test_null_context_takes_per_launch_path(self):
+        graph, _ = capture(A100_SPEC, stream_fn)
+        null = NullContext()
+        assert graph.replay(null) == 0.0
+        assert null.records == [] and null._lazy is None
+
+
+def context_with(prior):
+    ctx = ExecutionContext(A100_SPEC)
+    ctx.launch(prior)
+    return ctx
+
+
+def faulting_index(spec, seed):
+    """Index of the launch an eager run under ``(spec, seed)`` faults
+    on, or ``None``."""
+    ctx = ExecutionContext(A100_SPEC)
+    FaultPlan(spec, seed).install(ctx)
+    try:
+        stream_fn(ctx)
+    except LaunchFailure:
+        return len(ctx.records)
+    return None
 
 
 class TestGraphCache:
