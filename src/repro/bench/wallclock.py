@@ -779,8 +779,9 @@ def run_wallclock_bench(
             f"{sorted(_PRESETS_BY_LABEL)}"
         )
     opt = _PRESETS_BY_LABEL[preset]
+    cores = os.cpu_count() or 1
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = cores
     config = BertConfig(num_layers=layers)
     data = make_batch(
         batch, max_seq_len, config.hidden_size, alpha=alpha, seed=seed
@@ -1037,6 +1038,7 @@ def run_wallclock_bench(
             "num_heads": config.num_heads,
             "total_tokens": int(np.sum(data.mask)),
             "host": platform.machine(),
+            "cores": cores,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },

@@ -210,6 +210,13 @@ def attend_to_cache(
     block tables, and :func:`decode_self_attention_step` all call this
     with K/V gathered into the same contiguous ``[len, H]`` layout, so
     their outputs are *bitwise* identical by construction.
+
+    The score and ``probs @ v`` products stay one matmul per head (their
+    BLAS reduction order is the contract); the scores of all heads land
+    in one ``[heads, len]`` array and take a single row softmax.  That
+    is elementwise work along each row, so each head's probabilities
+    are the bits a per-head softmax call would give — one call per
+    decode token instead of one per head.
     """
     hidden = q_row.shape[0]
     if hidden % num_heads != 0:
@@ -219,11 +226,15 @@ def attend_to_cache(
     k3 = keys.reshape(-1, num_heads, head_size)
     v3 = values.reshape(-1, num_heads, head_size)
     qh = q_row.reshape(num_heads, head_size)
+    scores = np.empty(
+        (num_heads, k3.shape[0]), dtype=np.result_type(q_row, keys)
+    )
+    for h in range(num_heads):
+        scores[h] = (k3[:, h] @ qh[h]) * scale
+    probs = softmax_reference(scores)
     out = np.empty_like(q_row)
     for h in range(num_heads):
-        scores = (k3[:, h] @ qh[h]) * scale
-        probs = softmax_reference(scores[None, :])[0]
-        out[h * head_size : (h + 1) * head_size] = probs @ v3[:, h]
+        out[h * head_size : (h + 1) * head_size] = probs[h] @ v3[:, h]
     return out
 
 
@@ -263,6 +274,16 @@ class DecodeCellWeights:
     @property
     def hidden_size(self) -> int:
         return self.qkv_weight.shape[0]
+
+    def astype(self, dtype: np.dtype | type) -> DecodeCellWeights:
+        """These weights in ``dtype``; arrays already in it are shared,
+        not copied."""
+        return DecodeCellWeights(
+            qkv_weight=self.qkv_weight.astype(dtype, copy=False),
+            qkv_bias=self.qkv_bias.astype(dtype, copy=False),
+            out_weight=self.out_weight.astype(dtype, copy=False),
+            out_bias=self.out_bias.astype(dtype, copy=False),
+        )
 
 
 def init_decode_cell(config: BertConfig, seed: int = 0) -> DecodeCellWeights:

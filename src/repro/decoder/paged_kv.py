@@ -18,7 +18,11 @@ Contract highlights:
 * K/V rows are stored in the engine's float64 numerics (like the
   megabatch arena); the *modelled* deployment bytes the telemetry gauges
   report are FP16 (:data:`~repro.gpusim.memory.BYTES_PER_ELEMENT`),
-  matching :attr:`~repro.decoder.generation.PackedKVCache.packed_bytes`;
+  matching :attr:`~repro.decoder.generation.PackedKVCache.packed_bytes`.
+  The float32 decode-cell weights meet these rows in float64 GEMMs, so
+  the serving runtime casts them to float64 once per runtime rather than
+  letting numpy cast them on every call — the same dgemm on the same
+  float64 operands, hence the same bits;
 * :meth:`append_rows` raises :class:`KVPressureError` instead of
   over-allocating when the pool is exhausted — the runtime's cue to
   swap out a victim (:meth:`swap_out`) and resume it later from the

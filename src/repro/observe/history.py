@@ -129,7 +129,10 @@ def record_from_result(
 
     Metrics a result does not carry (e.g. ``decode_serving`` before the
     decode bench ran in CI) are simply absent from the record; the gate
-    skips them.
+    skips them.  ``env.cores`` names the host core count a wall-clock
+    metric was measured on (``None`` for a result that did not record
+    it); the gate matches on shape, never on env, so records from before
+    the field existed still gate.
     """
     config = result.get("config", {})
     metrics = {}
@@ -145,6 +148,7 @@ def record_from_result(
         ),
         "env": {
             "host": config.get("host", ""),
+            "cores": config.get("cores"),
             "python": config.get("python", ""),
             "numpy": config.get("numpy", ""),
         },

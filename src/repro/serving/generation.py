@@ -27,6 +27,14 @@ token stream is *bitwise* equal to the looped
 :func:`~repro.decoder.generation.generate_cell_reference` oracle,
 however the scheduler interleaved, preempted or resumed it.  The chaos
 tests assert exactly that.
+
+The numeric plane is float64 (prompts, KV arena, activations).  The
+decode-cell weights are float32, so a numeric runtime casts them to
+float64 once, at construction, instead of leaving numpy to re-cast
+them inside every GEMM of every round.  The oracle keeps the float32
+weights and the per-call cast; both make the same dgemm call on the
+same float64 operands, so the bits are the same and the oracle tests
+compare cast-once against cast-per-call on every served stream.
 """
 
 from __future__ import annotations
@@ -232,12 +240,14 @@ class GenerationRuntime:
     weights:
         Decode cell weights; defaults to
         :func:`~repro.decoder.generation.init_decode_cell` at ``seed``.
+        :attr:`weights` reads back the caller's object unchanged.
     compute_outputs:
         When ``False`` the numeric plane is skipped entirely (cost-plane
         pricing only — much faster for large benches); outputs/token
         bits are then unavailable, but modelled times, outcomes and KV
         block accounting are unchanged (KV bookkeeping runs on lengths
-        alone, never on the values).
+        alone, never on the values), and no float64 weight copy is
+        built.
     """
 
     def __init__(
@@ -273,13 +283,35 @@ class GenerationRuntime:
         self.graph_cache = GraphCache() if use_graph else None
         self.kv_capacity_tokens = kv_capacity_tokens
         self.kv_block_tokens = kv_block_tokens
-        self.weights = (
-            weights if weights is not None else init_decode_cell(config, seed)
-        )
         self.compute_outputs = compute_outputs
+        drawn = weights is None
+        if drawn:
+            weights = init_decode_cell(config, seed)
+        # the numeric plane runs in float64 (prompts and the KV arena):
+        # cast the weights to it once here, not on every GEMM of every
+        # round; a cost-plane runtime never builds the copy
+        self._weights64 = (
+            weights.astype(np.float64) if compute_outputs else None
+        )
+        # drawn weights live on only as that copy (see `weights`), so a
+        # numeric runtime holds one set of weights, not two
+        self._weights = None if drawn and compute_outputs else weights
         self.telemetry = telemetry
         #: the arena of the most recent run (inspection/tests)
         self.arena: PagedKVArena | None = None
+
+    @property
+    def weights(self) -> DecodeCellWeights:
+        """The decode-cell weights the runtime was built with.
+
+        The caller's object when one was passed.  Otherwise the float32
+        weights drawn at ``seed``: a fresh copy rounded back from the
+        float64 numeric copy when there is one, which is exactly the
+        drawn values (float32 -> float64 -> float32 is lossless).
+        """
+        if self._weights is None:
+            return self._weights64.astype(np.float32)
+        return self._weights
 
     # ------------------------------------------------------------------
 
@@ -478,7 +510,7 @@ class GenerationRuntime:
         makespan = 0.0
         rounds = 0
         generated = 0
-        weights = self.weights
+        weights = self._weights64
         null_ctx = NullContext()
 
         def settle_served(state: _GenState, finish: float) -> None:
@@ -972,15 +1004,18 @@ def generate_reference_outputs(
     Each request runs alone through
     :func:`~repro.decoder.generation.generate_cell_reference` with the
     same deterministic prompt and step count the runtime uses — the
-    bitwise target the batched paged path must reproduce.
+    bitwise target the batched paged path must reproduce.  It takes the
+    float32 :attr:`~GenerationRuntime.weights`, which every GEMM casts
+    per call, against the runtime's cast-once float64 copy.
     """
     from repro.decoder.generation import generate_cell_reference
 
+    weights = runtime.weights
     outputs: dict[int, np.ndarray] = {}
     for request in trace.requests:
         steps = runtime.decode_steps_for(request, trace.max_seq_len)
         outputs[request.request_id] = generate_cell_reference(
-            runtime.weights,
+            weights,
             runtime.prompt_for(request),
             steps,
             runtime.config.num_heads,

@@ -1,5 +1,7 @@
 """Incremental decoding: the cache must reproduce full causal attention."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,13 @@ from repro.core.padding import packing_from_lengths
 from repro.decoder.causal import causal_self_mha
 from repro.decoder.generation import (
     PackedKVCache,
+    attend_to_cache,
     decode_attention_launch,
     decode_self_attention_step,
     generation_traffic_ratio,
 )
 from repro.gpusim import ExecutionContext
+from repro.kernels.softmax import softmax_reference
 
 HEADS, HEAD_SIZE = 4, 8
 HIDDEN = HEADS * HEAD_SIZE
@@ -161,3 +165,47 @@ class TestDecodeCost:
             generation_traffic_ratio(np.array([10]), 0, 64)
         with pytest.raises(ValueError, match="max_context"):
             generation_traffic_ratio(np.array([60]), 10, 64)
+
+
+def attend_per_head_softmax(q_row, keys, values, num_heads):
+    """Single-token attention with one softmax call per head."""
+    head_size = q_row.shape[0] // num_heads
+    scale = 1.0 / math.sqrt(head_size)
+    k3 = keys.reshape(-1, num_heads, head_size)
+    v3 = values.reshape(-1, num_heads, head_size)
+    qh = q_row.reshape(num_heads, head_size)
+    out = np.empty_like(q_row)
+    for h in range(num_heads):
+        scores = (k3[:, h] @ qh[h]) * scale
+        probs = softmax_reference(scores[None, :])[0]
+        out[h * head_size : (h + 1) * head_size] = probs @ v3[:, h]
+    return out
+
+
+class TestAttendToCache:
+    """One softmax over the ``[heads, len]`` scores is bitwise the
+    per-head softmax calls it replaces."""
+
+    @given(
+        length=st.integers(1, 400),
+        heads=st.integers(1, 12),
+        head_size=st.sampled_from((1, 3, 8, 16, 64)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_batched_softmax_equals_per_head(
+        self, length, heads, head_size, seed
+    ):
+        rng = np.random.default_rng(seed)
+        hidden = heads * head_size
+        q = rng.normal(size=hidden)
+        keys = rng.normal(size=(length, hidden))
+        values = rng.normal(size=(length, hidden))
+        assert np.array_equal(
+            attend_to_cache(q, keys, values, heads),
+            attend_per_head_softmax(q, keys, values, heads),
+        )
+
+    def test_rejects_indivisible_heads(self):
+        with pytest.raises(ValueError, match="not divisible"):
+            attend_to_cache(np.zeros(10), np.zeros((2, 10)), np.zeros((2, 10)), 3)

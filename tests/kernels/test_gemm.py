@@ -176,3 +176,38 @@ class TestRowSliceBitwise:
         gemm(np.ones((1, 32)), np.ones((32, 16)), ctx=ctx)
         (record,) = ctx.records
         assert record.launch.flops == gemm_flops(1, 16, 32)
+
+
+class TestMixedPrecisionCast:
+    """A float64 activation times float32 weights is bitwise the product
+    with the weights cast to float64 first.
+
+    numpy casts the float32 operand to float64 and makes the same dgemm
+    call, so a caller may cast its weights once and reuse the copy (the
+    decode serving runtime does) without moving a bit.  ``m = 1`` covers
+    the duplicated-row path.
+    """
+
+    @given(
+        m=st.integers(1, 300),
+        n=st.integers(1, 96),
+        k=st.integers(1, 96),
+        into_out=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_cast_once_equals_cast_per_call(self, m, n, k, into_out, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(m, k))
+        w32 = rng.normal(0.0, 0.02, size=(k, n)).astype(np.float32)
+        b32 = rng.normal(0.0, 0.02, size=n).astype(np.float32)
+        w64, b64 = w32.astype(np.float64), b32.astype(np.float64)
+        if into_out:
+            mixed, cast = np.empty((m, n)), np.empty((m, n))
+            gemm(a, w32, bias=b32, out=mixed)
+            gemm(a, w64, bias=b64, out=cast)
+        else:
+            mixed = gemm(a, w32, bias=b32)
+            cast = gemm(a, w64, bias=b64)
+        assert mixed.dtype == cast.dtype == np.float64
+        assert np.array_equal(mixed, cast)

@@ -66,6 +66,10 @@ class TestRecord:
             == 2.0
         )
 
+    def test_record_names_host_core_count(self):
+        assert record(config={"cores": 2})["env"]["cores"] == 2
+        assert record()["env"]["cores"] is None
+
     def test_missing_sections_simply_absent(self):
         rec = record()
         assert "sections/decode_serving/mixed/us_per_token" not in (
@@ -101,6 +105,18 @@ class TestGate:
         assert gate.passed
         assert not gate.warnings
         assert gate.baseline_count == 3
+
+    def test_records_without_core_count_still_gate(self, tmp_path):
+        for _ in range(3):
+            old = record()
+            del old["env"]["cores"]
+            append_record(tmp_path, old)
+        gate = baseline_gate(
+            record(config={"cores": 2}, modelled_us=1100.0),
+            load_history(tmp_path),
+        )
+        assert gate.baseline_count == 3
+        assert any(v.path == "modelled_us" for v in gate.failures)
 
     def test_no_history_passes_vacuously(self):
         gate = baseline_gate(record(), [])

@@ -1,9 +1,12 @@
 """Decode serving runtime: batched rounds bitwise-equal to the oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.config import BertConfig
+from repro.decoder.generation import init_decode_cell
 from repro.serving.faults import FaultSpec
 from repro.serving.gateway import AdmissionGateway, QosClass, TenantPolicy
 from repro.serving.generation import (
@@ -256,3 +259,72 @@ class TestReport:
         for times in report.token_times.values():
             assert list(times) == sorted(times)
             assert len(set(times)) == len(times)
+
+
+def weight_arrays(weights):
+    return (
+        weights.qkv_weight, weights.qkv_bias,
+        weights.out_weight, weights.out_bias,
+    )
+
+
+def construction_bytes(**kwargs):
+    """Bytes a runtime still holds after construction."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        runtime = GenerationRuntime(BertConfig(), **kwargs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+class TestNumericWeights:
+    """The numeric plane casts the float32 decode-cell weights to float64
+    once per runtime; the oracle keeps casting per GEMM call."""
+
+    def test_weights_stay_the_callers_object(self):
+        weights = init_decode_cell(CFG, seed=3)
+        for compute_outputs in (True, False):
+            runtime = GenerationRuntime(
+                CFG, weights=weights, compute_outputs=compute_outputs
+            )
+            assert runtime.weights is weights
+
+    def test_drawn_weights_read_back_as_float32_bits(self):
+        expected = init_decode_cell(CFG, seed=5)
+        for compute_outputs in (True, False):
+            runtime = GenerationRuntime(
+                CFG, seed=5, compute_outputs=compute_outputs
+            )
+            for got, want in zip(
+                weight_arrays(runtime.weights), weight_arrays(expected)
+            ):
+                assert got.dtype == np.float32
+                assert np.array_equal(got, want)
+
+    def test_cost_plane_runtime_builds_no_float64_copy(self):
+        weights = init_decode_cell(BertConfig(), seed=0)
+        copy_bytes = 2 * sum(a.nbytes for a in weight_arrays(weights))
+        cost_plane = construction_bytes(
+            weights=weights, compute_outputs=False
+        )
+        numeric = construction_bytes(weights=weights, compute_outputs=True)
+        assert cost_plane < copy_bytes // 10
+        assert numeric >= copy_bytes
+
+    def test_numeric_runtime_holds_one_set_of_drawn_weights(self):
+        weights = init_decode_cell(BertConfig(), seed=0)
+        copy_bytes = 2 * sum(a.nbytes for a in weight_arrays(weights))
+        held = construction_bytes(seed=0, compute_outputs=True)
+        assert copy_bytes <= held < copy_bytes + copy_bytes // 10
+
+    def test_replay_bitwise_equals_float32_oracle(self):
+        weights = init_decode_cell(CFG, seed=2)
+        trace = gen_trace(n=8)
+        runtime = GenerationRuntime(CFG, weights=weights, seed=2)
+        report = runtime.run(trace)
+        assert runtime.weights.qkv_weight.dtype == np.float32
+        assert len(report.served) == trace.num_requests
+        assert_served_bitwise(runtime, trace, report)

@@ -53,6 +53,7 @@ def test_config_section(result):
     assert config["batch"] == QUICK_OVERRIDES["batch"]
     assert config["max_seq_len"] == QUICK_OVERRIDES["max_seq_len"]
     assert config["layers"] == QUICK_OVERRIDES["layers"]
+    assert config["cores"] >= 1
 
 
 def test_timings_positive(result):
