@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.memory_planner import BUCKET_SCRATCH_SUFFIXES, LiveArena
 from repro.core.padding import PackedSeqs
-from repro.core.parallel import inplace_executor
+from repro.core.parallel import current_executor
 
 #: default bucket quantization; 1 == one bucket per distinct length
 DEFAULT_BUCKET_STEP = 1
@@ -310,7 +310,7 @@ def bucketed_sdpa(
             flat_valid = bucket.valid.ravel()
             out[bucket.rows.ravel()[flat_valid]] = merged[flat_valid]
 
-    inplace_executor().map(run_bucket, range(len(buckets)))
+    current_executor().map(run_bucket, range(len(buckets)))
     if scratch is not None:
         release_bucket_scratch(scratch, len(buckets))
     return out

@@ -34,7 +34,7 @@ from repro.attention.bucketed import (
 from repro.core.engine import is_vectorized
 from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
-from repro.core.parallel import inplace_executor
+from repro.core.parallel import current_executor
 from repro.gpusim.memory import BYTES_PER_FP32
 from repro.gpusim.stream import ExecutionContext, resolve_context
 from repro.kernels.grouped_gemm import (
@@ -317,7 +317,7 @@ def _bucketed_fused_long(
             flat_valid = bucket.valid.ravel()
             out[bucket.rows.ravel()[flat_valid]] = merged[flat_valid]
 
-    inplace_executor().map(run_bucket, range(len(buckets)))
+    current_executor().map(run_bucket, range(len(buckets)))
     if bufs is not None:
         release_bucket_scratch(scratch, len(buckets))
     return out

@@ -44,9 +44,8 @@ Three measurements are reported:
   chaos with forced eviction/resume) — all hard ``--check`` gates,
   because every number is modelled-clock deterministic.
 * ``host_parallel`` — the Amdahl-cap breaker: one tile-quantized
-  megabatch run serially vs under the configured executor (process
-  workers fork over contiguous segment chunks and mutate a
-  shared-memory arena; thread workers share the buffer directly).
+  megabatch run serially vs fanned out over a ``workers``-wide thread
+  pool (contiguous segment chunks writing one arena buffer).
   Parallel outputs must be **bitwise** serial-equal with an identical
   launch stream; the nested ``fast_gelu`` block swaps in the tanh GELU
   and must land within the end-to-end tolerance ``layers *
@@ -101,8 +100,7 @@ from repro.core.padding import (
 )
 from repro.core.parallel import (
     SERIAL_EXECUTOR,
-    fork_available,
-    make_executor,
+    BucketExecutor,
     use_executor,
 )
 from repro.gpusim.graph import GraphCache
@@ -628,20 +626,19 @@ def _host_parallel_section(
     data: Any,
     max_seq_len: int,
     repeats: int,
-    executor: str,
     workers: int,
     seed: int,
 ) -> dict[str, Any] | None:
-    """Megabatch segment fan-out: serial vs the configured executor.
+    """Megabatch segment fan-out: serial vs a ``workers``-wide thread pool.
 
     The whole batch is merged into one tile-quantized megabatch (the
     continuous-serving hot path) and run three ways on the numeric
-    plane: serially, under the configured executor (process workers
-    mutate a shared-memory arena; thread workers the same buffer
-    directly), and under the fast-GELU preset.  The parallel run must
-    be **bitwise** equal to the serial one and leave the modelled
-    launch chain untouched; fast-GELU must land within the documented
-    end-to-end tolerance — one GELU application per layer, each within
+    plane: serially, fanned out over the thread pool (workers write
+    their rows of one arena buffer), and under the fast-GELU preset.
+    The parallel run must be **bitwise** equal to the serial one and
+    leave the modelled launch chain untouched; fast-GELU must land
+    within the documented end-to-end tolerance — one GELU application
+    per layer, each within
     :data:`~repro.kernels.activation.FAST_GELU_ATOL`, compounds at
     most linearly in depth (layernorm renormalises between layers, so
     there is no multiplicative blow-up), hence ``layers * atol`` — with
@@ -660,11 +657,9 @@ def _host_parallel_section(
     x_tile = np.zeros((tile, config.hidden_size), dtype=flat.dtype)
     x_tile[:total] = flat[packing.gather_idx]
 
-    def tile_model(
-        run_opt: Any, shared: bool, ex: Any
-    ) -> BertEncoderModel:
+    def tile_model(run_opt: Any, ex: Any) -> BertEncoderModel:
         model = BertEncoderModel(
-            config, opt=run_opt, seed=seed, arena=LiveArena(shared=shared)
+            config, opt=run_opt, seed=seed, arena=LiveArena()
         )
         with use_executor(ex):  # warm up: arena reserve + first forward
             model.forward_packed(x_tile, mega, ctx=NullContext())
@@ -688,13 +683,13 @@ def _host_parallel_section(
     # the serial reference and the fast-GELU run pin SERIAL_EXECUTOR so
     # an ambient executor (e.g. the CLI's use_workers wrapper) cannot
     # leak fan-out into the baselines
-    serial_model = tile_model(opt, False, SERIAL_EXECUTOR)
+    serial_model = tile_model(opt, SERIAL_EXECUTOR)
     serial_out, serial_ctx = stream_of(serial_model, SERIAL_EXECUTOR)
     serial_out = serial_out.copy()
     serial_wall = wall_of(serial_model, SERIAL_EXECUTOR)
 
-    ex = make_executor(executor, workers)
-    par_model = tile_model(opt, ex.needs_shared_memory, ex)
+    ex = BucketExecutor(workers)
+    par_model = tile_model(opt, ex)
     par_wall = wall_of(par_model, ex)
     par_out, par_ctx = stream_of(par_model, ex)
     outputs_bitwise = bool(np.array_equal(par_out, serial_out))
@@ -705,7 +700,7 @@ def _host_parallel_section(
     ex.shutdown()
 
     fast_opt = dataclasses.replace(opt, gelu_variant="tanh")
-    fast_model = tile_model(fast_opt, False, SERIAL_EXECUTOR)
+    fast_model = tile_model(fast_opt, SERIAL_EXECUTOR)
     fast_out, fast_ctx = stream_of(fast_model, SERIAL_EXECUTOR)
     fast_diff = float(np.max(np.abs(fast_out - serial_out)))
     fast_wall = wall_of(fast_model, SERIAL_EXECUTOR)
@@ -714,7 +709,6 @@ def _host_parallel_section(
         "cores": cores,
         "executor": ex.kind,
         "workers": ex.workers,
-        "fork_available": fork_available(),
         "tile": tile,
         "segments": int(seq_lens.shape[0]),
         "total_tokens": total,
@@ -723,12 +717,10 @@ def _host_parallel_section(
         "speedup_vs_reference": serial_wall / par_wall,
         # the speedup is a host wall-clock ratio, so a floor breach
         # warns on every host; amdahl_capped only records whether a
-        # real fan-out (>= 2 cores, >= 2 workers, fork) was possible
+        # real fan-out (>= 2 cores, >= 2 workers) was possible
         "floor": 1.15,
         "wall_clock_floor": True,
-        "amdahl_capped": (
-            cores < 2 or ex.workers < 2 or not fork_available()
-        ),
+        "amdahl_capped": cores < 2 or ex.workers < 2,
         "outputs_bitwise_equal": outputs_bitwise,
         "launch_streams_identical": streams_identical,
         "modelled_us_equal": modelled_equal,
@@ -759,7 +751,6 @@ def run_wallclock_bench(
     repeats: int = 3,
     seed: int = 0,
     serve_requests: int = 48,
-    executor: str = "process",
     workers: int | None = None,
     devices: int = 8,
     shard: str = "dp",
@@ -1014,7 +1005,7 @@ def run_wallclock_bench(
 
     # ---- host-path parallelism: the megabatch segment fan-out --------
     host_parallel_section = _host_parallel_section(
-        config, opt, data, max_seq_len, repeats, executor, workers, seed
+        config, opt, data, max_seq_len, repeats, workers, seed
     )
 
     # ---- multi-device sharded serving --------------------------------
@@ -1030,7 +1021,6 @@ def run_wallclock_bench(
             "repeats": repeats,
             "seed": seed,
             "serve_requests": serve_requests,
-            "executor": executor,
             "workers": workers,
             "devices": devices,
             "shard": shard,

@@ -9,13 +9,11 @@ Commands:
 * ``bench`` — wall-clock benchmark of the host execution engines
   (``--quick`` for a CI smoke run, ``--out`` to write the JSON,
   ``--check`` to gate on the output/stream-identity invariants,
-  ``--workers``/``--executor`` to pick the fan-out: a thread pool or
-  forked processes over shared-memory arena segments); prints the
-  cache hit/miss/eviction table;
+  ``--workers`` to fan the megabatch segments out over a thread pool);
+  prints the cache hit/miss/eviction table;
 * ``serve-chaos`` — chaos-replay a serving trace with injected kernel
   faults, deadlines, retry/backoff and graceful degradation
-  (``--workers``/``--executor`` compute independent requests in
-  parallel); prints the cache hit/miss/eviction table and the SLO
+  (``--workers`` compute independent requests on a thread pool); prints the cache hit/miss/eviction table and the SLO
   summary, and can export the observed replay (``--trace-out`` Chrome
   trace, ``--metrics-out`` JSONL);
 * ``generate`` — serve autoregressive generation streams (synthetic
@@ -56,7 +54,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import FAST_GELU, STEPWISE_PRESETS, BertConfig
-from repro.core.parallel import EXECUTOR_KINDS
 from repro.core.estimator import estimate_model
 from repro.experiments import ALL_EXPERIMENTS
 from repro.frameworks import all_frameworks
@@ -252,7 +249,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         preset=args.preset,
         repeats=args.repeats,
         seed=args.seed,
-        executor=args.executor,
         workers=args.workers,
         devices=args.devices,
         shard=args.shard,
@@ -267,7 +263,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
         tel = Telemetry()
         kwargs["telemetry"] = tel
-    with use_workers(args.workers, kind=args.executor):
+    with use_workers(args.workers):
         result = run_wallclock_bench(**kwargs)
     print(format_summary(result))
     if tel is not None:
@@ -402,7 +398,6 @@ def cmd_serve_chaos(args: argparse.Namespace) -> int:
         device=DEVICES[args.device],
         seed=args.seed,
         workers=args.workers,
-        executor=args.executor,
         telemetry=tel,
         sharding=sharding,
     )
@@ -1288,14 +1283,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="executor fan-out width (1 = serial)",
-    )
-    p.add_argument(
-        "--executor",
-        choices=EXECUTOR_KINDS,
-        default="thread",
-        help="how --workers fan out: thread pool or forked processes "
-        "over shared-memory arena segments",
+        help="thread-pool fan-out width (1 = serial)",
     )
     p.add_argument(
         "--check",
@@ -1413,14 +1401,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="parallel request-compute workers (1 = serial)",
-    )
-    p.add_argument(
-        "--executor",
-        choices=EXECUTOR_KINDS,
-        default="thread",
-        help="how --workers fan out: thread pool or forked processes "
-        "over shared-memory arena segments",
+        help="parallel request-compute threads (1 = serial)",
     )
     p.add_argument(
         "--slo-target",

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Iterator
 
 import numpy as np
@@ -194,13 +193,6 @@ class ArenaAllocator:
         return sorted(self._placements.values(), key=lambda p: p.offset)
 
 
-#: retired shared-memory blocks still pinned by stale ndarray views.
-#: Module-level so they stay alive until actually closeable: letting a
-#: pinned block be garbage-collected would re-raise the BufferError
-#: inside SharedMemory.__del__, where it cannot be caught.
-_PINNED_SHM: list[shared_memory.SharedMemory] = []
-
-
 class LiveArena:
     """A live best-fit arena handing out ndarray views of one byte buffer.
 
@@ -220,26 +212,10 @@ class LiveArena:
       served from the backing buffer — the steady state.
     * ``take``/``release`` are **not** thread-safe: parallel bucket
       execution pre-acquires all buffers before fanning out.
-
-    Shared-memory backing
-    ---------------------
-    With ``shared=True`` the backing buffer lives in a
-    :class:`multiprocessing.shared_memory.SharedMemory` block instead of
-    a private ``np.empty``.  Views handed out by :meth:`take` are then
-    MAP_SHARED: a forked worker process that writes through an inherited
-    view mutates the parent's bytes directly — the zero-copy contract
-    the :class:`~repro.core.parallel.ProcessExecutor` megabatch path
-    relies on.  Warm-up *overflow* buffers remain private ``np.empty``
-    either way, which is why that path checks :meth:`owns` before
-    fanning out across processes.  :meth:`close` releases the block;
-    the destructor does too, so tests may simply drop the arena.
     """
 
-    def __init__(self, alignment: int = 256, shared: bool = False) -> None:
+    def __init__(self, alignment: int = 256) -> None:
         self.alignment = alignment
-        #: whether the backing buffer is multiprocessing shared memory
-        self.shared = bool(shared)
-        self._shm: shared_memory.SharedMemory | None = None
         self._buf = np.empty(0, dtype=np.uint8)
         self._alloc = ArenaAllocator(alignment)
         #: high-water mark of aligned arena bytes any forward has needed
@@ -262,73 +238,10 @@ class LiveArena:
         """Whether the last forward was served entirely from the backing."""
         return self.forwards > 0 and self._wanted_bytes <= self._buf.nbytes
 
-    def owns(self, arr: np.ndarray) -> bool:
-        """Whether ``arr`` is a view into the backing buffer.
-
-        ``False`` for warm-up overflow buffers (private ``np.empty``),
-        which is exactly the case process fan-out must detect: a forked
-        worker's writes into a private buffer would die with the fork.
-        """
-        return self._buf.nbytes > 0 and np.may_share_memory(arr, self._buf)
-
-    def _retire(self, shm: shared_memory.SharedMemory) -> None:
-        """Unlink a block now; unmap it once no stale view pins it.
-
-        ``unlink`` always succeeds (the name goes away, the mapping
-        stays while referenced).  ``close`` raises :class:`BufferError`
-        while a stale ndarray view from a previous forward still exports
-        the mapping — documented as *invalid* but possibly still
-        referenced — so such blocks wait on the module-level
-        :data:`_PINNED_SHM` list (not an instance list: a pinned block
-        must outlive the arena, or its ``__del__`` re-raises the
-        :class:`BufferError` unraisably during garbage collection) and
-        are re-tried at every later retire.
-        """
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-        _PINNED_SHM.append(shm)
-        still_pinned = []
-        for block in _PINNED_SHM:
-            try:
-                block.close()
-            except BufferError:
-                still_pinned.append(block)
-        _PINNED_SHM[:] = still_pinned
-
-    def close(self) -> None:
-        """Release the shared-memory backing (no-op for private arenas).
-
-        All outstanding views die with the mapping; callers follow the
-        same rule as :meth:`begin` — nothing borrowed may outlive it.
-        """
-        self._buf = np.empty(0, dtype=np.uint8)
-        if self._shm is not None:
-            shm, self._shm = self._shm, None
-            self._retire(shm)
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001 — interpreter teardown
-            pass
-
-    def _grow_backing(self, nbytes: int) -> None:
-        if not self.shared:
-            self._buf = np.empty(nbytes, dtype=np.uint8)
-            return
-        old = self._shm
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-        # the OS may round the block up to a page; expose what we asked for
-        self._buf = np.frombuffer(self._shm.buf, dtype=np.uint8)[:nbytes]
-        if old is not None:
-            self._retire(old)
-
     def begin(self) -> None:
         """Start a forward pass; previous views are dead, backing may grow."""
         if self._wanted_bytes > self._buf.nbytes:
-            self._grow_backing(self._wanted_bytes)
+            self._buf = np.empty(self._wanted_bytes, dtype=np.uint8)
         self._alloc = ArenaAllocator(self.alignment)
         self._live_raw = 0
         self.peak_live_bytes = 0

@@ -318,9 +318,7 @@ class BertEncoderModel:
 
         Each worker runs the whole layer stack over its contiguous row
         range — issuing **one** tile GEMM per projection covering all of
-        its segments — and writes its rows of ``out``.  Workers return
-        ``None``: under the process executor the only bytes that travel
-        are the shared-memory writes into ``out``.
+        its segments — and writes its rows of ``out`` in place.
 
         Bitwise-equal to the serial megabatch by construction: BLAS
         row-splits ``m`` (chunking rows never changes GEMM bits), every
@@ -365,29 +363,27 @@ class BertEncoderModel:
         total = mega.total_tokens
         packing = mega.packing
         x_valid = x_tile[:total]
+        dt = x_tile.dtype
         arena = self.arena
         chunks = self._segment_chunks(mega)
-        executor = current_executor()
-        if (
+        use_arena = (
             arena is not None
             and is_vectorized()
-            and np.issubdtype(x_tile.dtype, np.floating)
-        ):
-            dt = x_tile.dtype
+            and np.issubdtype(dt, np.floating)
+        )
+        if use_arena:
             self.prereserve_tiles((mega.tile,), packing.max_seq_len, dt)
             arena.begin()
-            if chunks is not None:
-                out = arena.take("output", (mega.tile, hidden), dt)
-                if not executor.needs_shared_memory or (
-                    arena.shared and arena.owns(out)
-                ):
-                    self._run_packed_chunks(x_valid, mega, chunks, out)
-                    out[total:] = 0.0
-                    return out
-                # the arena is not shared-memory backed, or the output
-                # landed in a private overflow buffer: process workers'
-                # writes would die with the fork, so run serially instead
-                arena.release("output")
+        if chunks is not None:
+            out = (
+                arena.take("output", (mega.tile, hidden), dt)
+                if use_arena
+                else np.empty((mega.tile, hidden), dtype=dt)
+            )
+            self._run_packed_chunks(x_valid, mega, chunks, out)
+            out[total:] = 0.0
+            return out
+        if use_arena:
             cur = arena.take("h0", (total, hidden), dt)
             nxt = arena.take("h1", (total, hidden), dt)
             np.copyto(cur, x_valid)
@@ -405,11 +401,6 @@ class BertEncoderModel:
                 cur, nxt = nxt, cur
             out = arena.take("output", (mega.tile, hidden), dt)
             np.copyto(out[:total], cur)
-            out[total:] = 0.0
-            return out
-        if chunks is not None and not executor.needs_shared_memory:
-            out = np.empty((mega.tile, hidden), dtype=x_tile.dtype)
-            self._run_packed_chunks(x_valid, mega, chunks, out)
             out[total:] = 0.0
             return out
         hidden_state = x_valid

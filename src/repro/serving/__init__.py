@@ -46,8 +46,6 @@ from repro.serving.faults import (
     NO_FAULTS,
     SLOW_KERNEL,
     TRANSIENT_OOM,
-    WORKER_HANG,
-    WORKER_KILL,
     FaultPlan,
     FaultSpec,
     InjectedFault,
@@ -75,8 +73,6 @@ __all__ = [
     "ScheduledRequest",
     "TenantPolicy",
     "TokenBucket",
-    "WORKER_HANG",
-    "WORKER_KILL",
     "DEFAULT_TILES",
     "ContinuousBatcher",
     "TokenBudgetExceededError",

@@ -26,9 +26,6 @@ from repro.gpusim.stream import ExecutionContext
 LAUNCH_FAILURE = "launch-failure"
 TRANSIENT_OOM = "transient-oom"
 SLOW_KERNEL = "slow-kernel"
-#: host-side process-worker faults (see FaultPlan.worker_verdict)
-WORKER_KILL = "worker-kill"
-WORKER_HANG = "worker-hang"
 
 
 @dataclass(frozen=True)
@@ -49,21 +46,12 @@ class FaultSpec:
     slow_rate: float = 0.0
     slow_factor: float = 4.0
     target_prefixes: tuple[str, ...] = ()
-    #: host-side chaos: probability a forked process-worker chunk dies
-    #: with a nonzero exit / hangs past the executor's wall-clock guard.
-    #: Drawn per chunk from an independent seeded stream (see
-    #: :meth:`FaultPlan.worker_verdict`), so enabling them never shifts
-    #: the kernel-launch fault schedule.
-    worker_kill_rate: float = 0.0
-    worker_hang_rate: float = 0.0
 
     def __post_init__(self) -> None:
         for name in (
             "launch_failure_rate",
             "transient_oom_rate",
             "slow_rate",
-            "worker_kill_rate",
-            "worker_hang_rate",
         ):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -71,11 +59,6 @@ class FaultSpec:
         if self.fault_rate > 1.0:
             raise ValueError(
                 f"fault rates must sum to <= 1, got {self.fault_rate}"
-            )
-        if self.worker_kill_rate + self.worker_hang_rate > 1.0:
-            raise ValueError(
-                "worker_kill_rate + worker_hang_rate must be <= 1, got "
-                f"{self.worker_kill_rate + self.worker_hang_rate}"
             )
         if self.slow_factor < 1.0:
             raise ValueError(
@@ -172,37 +155,6 @@ class FaultPlan:
             )
             return self.spec.slow_factor
         return 1.0
-
-    def worker_verdict(self, chunk_ordinal: int) -> str | None:
-        """Seeded fate of the ``chunk_ordinal``-th forked worker chunk.
-
-        Returns :data:`WORKER_KILL`, :data:`WORKER_HANG` or ``None``
-        (healthy).  The draw is keyed by ``(seed, chunk_ordinal)`` on a
-        stream independent of the launch-fault RNG, so worker chaos and
-        kernel chaos compose without perturbing each other, and the
-        parent can draw the verdict *before* forking (the RNG state
-        never depends on child scheduling).  Injections land in the
-        same :attr:`injected` log as kernel faults.
-        """
-        spec = self.spec
-        if spec.worker_kill_rate <= 0.0 and spec.worker_hang_rate <= 0.0:
-            return None
-        draw = float(
-            np.random.default_rng(
-                [self.seed, 0xDEAD, chunk_ordinal]
-            ).random()
-        )
-        if draw < spec.worker_kill_rate:
-            self.injected.append(
-                InjectedFault(chunk_ordinal, "process-worker", WORKER_KILL)
-            )
-            return WORKER_KILL
-        if draw < spec.worker_kill_rate + spec.worker_hang_rate:
-            self.injected.append(
-                InjectedFault(chunk_ordinal, "process-worker", WORKER_HANG)
-            )
-            return WORKER_HANG
-        return None
 
     def install(self, ctx: ExecutionContext) -> ExecutionContext:
         """Install this plan as ``ctx``'s launch hook; returns ``ctx``."""

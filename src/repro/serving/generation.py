@@ -246,8 +246,8 @@ class GenerationRuntime:
         pricing only — much faster for large benches); outputs/token
         bits are then unavailable, but modelled times, outcomes and KV
         block accounting are unchanged (KV bookkeeping runs on lengths
-        alone, never on the values), and no float64 weight copy is
-        built.
+        alone, never on the values), no float64 weight copy is built
+        and default weights are not drawn at all.
     """
 
     def __init__(
@@ -284,18 +284,20 @@ class GenerationRuntime:
         self.kv_capacity_tokens = kv_capacity_tokens
         self.kv_block_tokens = kv_block_tokens
         self.compute_outputs = compute_outputs
-        drawn = weights is None
-        if drawn:
-            weights = init_decode_cell(config, seed)
         # the numeric plane runs in float64 (prompts and the KV arena):
         # cast the weights to it once here, not on every GEMM of every
         # round; a cost-plane runtime never builds the copy
-        self._weights64 = (
-            weights.astype(np.float64) if compute_outputs else None
-        )
-        # drawn weights live on only as that copy (see `weights`), so a
-        # numeric runtime holds one set of weights, not two
-        self._weights = None if drawn and compute_outputs else weights
+        self._weights64: DecodeCellWeights | None = None
+        if compute_outputs:
+            self._weights64 = (
+                weights
+                if weights is not None
+                else init_decode_cell(config, seed)
+            ).astype(np.float64)
+        # drawn weights are never kept in float32 (see `weights`), so a
+        # numeric runtime holds one set of weights and a cost-plane
+        # runtime none
+        self._weights = weights
         self.telemetry = telemetry
         #: the arena of the most recent run (inspection/tests)
         self.arena: PagedKVArena | None = None
@@ -307,11 +309,15 @@ class GenerationRuntime:
         The caller's object when one was passed.  Otherwise the float32
         weights drawn at ``seed``: a fresh copy rounded back from the
         float64 numeric copy when there is one, which is exactly the
-        drawn values (float32 -> float64 -> float32 is lossless).
+        drawn values (float32 -> float64 -> float32 is lossless), else
+        a fresh :func:`~repro.decoder.generation.init_decode_cell` draw,
+        which is deterministic in ``seed``.
         """
-        if self._weights is None:
+        if self._weights is not None:
+            return self._weights
+        if self._weights64 is not None:
             return self._weights64.astype(np.float32)
-        return self._weights
+        return init_decode_cell(self.config, self.seed)
 
     # ------------------------------------------------------------------
 

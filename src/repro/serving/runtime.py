@@ -36,7 +36,7 @@ from repro.core.config import FUSED_MHA, BertConfig, OptimizationConfig
 from repro.core.engine import use_engine
 from repro.core.estimator import estimate_model_graphed, estimate_model_tiled
 from repro.core.model import BertEncoderModel
-from repro.core.parallel import ProcessExecutor, make_executor, use_executor
+from repro.core.parallel import BucketExecutor, use_executor
 from repro.gpusim.graph import GraphCache
 from repro.kernels.activation import force_gelu_variant
 from repro.gpusim.device import A100_SPEC, DeviceSpec
@@ -126,14 +126,10 @@ class ServingRuntime:
         and a mid-replay fault never touches the (immutable) cached
         graph, so chaos replays are unchanged bit for bit.
     workers:
-        Worker count for computing served requests' numeric outputs in
-        parallel.  ``1`` (default) is strictly serial.
-    executor:
-        How ``workers`` fan out: ``"thread"`` (default), ``"process"``
-        (forked workers — pair with a shared-memory arena so megabatch
-        segment chunks write one buffer), or ``"serial"``.  Executor
-        choice never changes served bits, the outcome log or the
-        modelled timeline — only host wall-clock.
+        Thread count for computing served requests' numeric outputs in
+        parallel.  ``1`` (default) is strictly serial.  The worker count
+        never changes served bits, the outcome log or the modelled
+        timeline — only host wall-clock.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` to observe the run:
         request/stage spans on the simulated clock, the serving metrics
@@ -170,7 +166,6 @@ class ServingRuntime:
         seed: int = 0,
         use_graph: bool = True,
         workers: int = 1,
-        executor: str = "thread",
         telemetry: Telemetry | None = None,
         sharding: ShardConfig | None = None,
     ) -> None:
@@ -188,7 +183,7 @@ class ServingRuntime:
         self.graph_cache = GraphCache() if use_graph else None
         self.workers = workers
         self.telemetry = telemetry
-        self._executor = make_executor(executor, workers)
+        self._executor = BucketExecutor(workers)
         self._single_estimates: dict[int, float] = {}
         self.sharding = sharding if sharding is not None else ShardConfig()
         #: the priced interconnect (None on a single device)
@@ -332,10 +327,9 @@ class ServingRuntime:
         per-request segment boundaries.
 
         Otherwise requests are independent (disjoint inputs, disjoint
-        outputs), so they fan out across the worker pool: threads need a
-        non-arena numerics model (scratch buffers must not be shared
-        across concurrent forwards); forked process workers each run on
-        a copy-on-write snapshot, so they tolerate an arena.
+        outputs), so they fan out across the worker pool when the
+        numerics model has no arena (scratch buffers must not be shared
+        across concurrent forwards).
 
         Degraded rungs with ``exact_gelu`` pin the GELU formula for the
         whole computation — identity under exact presets, the
@@ -365,10 +359,7 @@ class ServingRuntime:
                     x_tile, mega, ctx=NullContext()
                 )
             return scatter_outputs(out_tile, mega)
-        if self._executor.workers > 1 and (
-            self.numerics.arena is None
-            or self._executor.needs_shared_memory
-        ):
+        if self._executor.workers > 1 and self.numerics.arena is None:
             with pin_gelu, use_engine(level.engine):
                 return self._executor.map(
                     lambda r: np.array(
@@ -528,23 +519,11 @@ class ServingRuntime:
         ):
             # size the arena for every tile the batcher can emit before
             # the first dispatch: steady-state serving then never pays a
-            # warm-up overflow alloc (and a shared arena is immediately
-            # usable by process workers)
+            # warm-up overflow alloc
             self.numerics.prereserve_tiles(
                 self.batcher.effective_tiles(), trace.max_seq_len
             )
         plan_faults = FaultPlan(self.faults, seed=self.seed)
-        if isinstance(self._executor, ProcessExecutor):
-            # worker chaos rides the same seeded plan as kernel chaos;
-            # re-arming resets the chunk-ordinal stream per run
-            self._executor.arm_chaos(
-                plan_faults.worker_verdict
-                if (
-                    self.faults.worker_kill_rate > 0.0
-                    or self.faults.worker_hang_rate > 0.0
-                )
-                else None
-            )
         jitter_rng = np.random.default_rng([self.seed, 0x5E])
         outcomes: dict[int, RequestOutcome] = {}
         outputs: dict[int, np.ndarray] = {}

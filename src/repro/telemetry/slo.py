@@ -59,7 +59,6 @@ TENANT_REQUEST_LATENCY_US = "serving_tenant_request_latency_us"
 GATEWAY_REJECTED_TOTAL = "gateway_rejected_total"
 GATEWAY_RETRY_AFTER_US = "gateway_retry_after_us"
 GATEWAY_RELEASE_WAIT_US = "gateway_release_wait_us"
-EXECUTOR_WORKER_RECOVERIES_TOTAL = "executor_worker_recoveries_total"
 
 # decode serving & the paged KV arena; only populated by the
 # generation runtime, so encoder-only consumers see an unchanged

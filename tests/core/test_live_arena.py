@@ -222,90 +222,6 @@ class TestPlanDrivenPresize:
         assert arena.overflow_allocs == 0
 
 
-class TestSharedBacking:
-    def test_take_views_are_shared_memory_backed(self):
-        arena = LiveArena(shared=True)
-        arena.reserve(16 * 8 * 8)
-        arena.begin()
-        buf = arena.take("a", (16, 8), np.float64)
-        assert arena.shared
-        assert arena.owns(buf)
-        buf[:] = 7.0
-        assert float(buf.sum()) == 7.0 * 16 * 8
-        arena.close()
-
-    def test_overflow_buffers_are_private(self):
-        arena = LiveArena(shared=True)
-        arena.begin()
-        # nothing reserved: a huge take overflows to a private np.empty
-        overflow = arena.take("big", (1024, 1024), np.float64)
-        assert arena.overflow_allocs == 1
-        assert not arena.owns(overflow)
-        arena.close()
-
-    def test_forked_child_writes_visible_to_parent(self):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("platform lacks fork")
-        arena = LiveArena(shared=True)
-        arena.reserve(64 * 8)
-        arena.begin()
-        view = arena.take("shared", (64,), np.float64)
-        assert arena.owns(view)
-        view[:] = 0.0
-
-        def child_body():
-            view[:] = 42.0  # inherited MAP_SHARED view
-
-        ctx = multiprocessing.get_context("fork")
-        proc = ctx.Process(target=child_body)
-        proc.start()
-        proc.join()
-        assert proc.exitcode == 0
-        np.testing.assert_array_equal(view, np.full(64, 42.0))
-        arena.close()
-
-    def test_close_with_stale_views_does_not_raise(self):
-        arena = LiveArena(shared=True)
-        arena.reserve(8 * 8 * 8)
-        arena.begin()
-        stale = arena.take("x", (8, 8), np.float64)  # pins the mapping
-        arena.close()
-        assert arena.footprint_bytes == 0
-        assert stale.shape == (8, 8)  # the view itself stays readable
-
-    def test_growth_retires_outgrown_blocks(self):
-        arena = LiveArena(shared=True)
-        arena.reserve(arena.alignment)  # one aligned block: fits "a" only
-        arena.begin()
-        first = arena.take("a", (4, 4), np.float64)
-        assert arena.owns(first)
-        # this take outgrows the backing: served privately this forward,
-        # then the next begin() grows a new block and retires the old
-        # one while `first` still pins it
-        assert not arena.owns(arena.take("b", (512, 512), np.float64))
-        arena.begin()
-        arena.take("a", (4, 4), np.float64)
-        buf = arena.take("b", (512, 512), np.float64)
-        assert arena.owns(buf)
-        del first
-        arena.close()
-
-    def test_shared_model_forward_bitwise_equal_private(self):
-        x, mask = _batch(LENGTH_CASES["uniform"])
-        private = BertEncoderModel(
-            CONFIG, opt=FUSED, seed=3, arena=LiveArena()
-        )
-        shared = BertEncoderModel(
-            CONFIG, opt=FUSED, seed=3, arena=LiveArena(shared=True)
-        )
-        for _ in range(2):
-            want = private.forward(x, mask)
-            got = shared.forward(x, mask)
-            assert np.array_equal(got, want)
-
-
 class TestScratchPool:
     def test_reuses_backing_across_takes(self):
         from repro.core.memory_planner import ScratchPool

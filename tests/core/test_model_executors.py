@@ -1,27 +1,29 @@
-"""Executor equivalence: serial, thread and process fan-out.
+"""Executor equivalence: serial vs thread fan-out.
 
 The tentpole invariant of host-path parallelism: how megabatch segment
-chunks fan out across the host — inline, pool threads, or forked
-shared-memory workers — may change only wall-clock.  Over the length
-distribution matrix the vectorized engine is gated on, outputs stay
-bitwise-identical to the serial path, the modelled launch stream and
-timeline are untouched, and seeded-chaos serving replays (retries,
-deadlines, degradation, telemetry) are unperturbed.
+chunks fan out across the host — inline or on pool threads — may change
+only wall-clock.  Over generated megabatches (segment lengths, segment
+count, worker count, arena on or off) outputs stay bitwise-identical to
+the serial path and the modelled launch stream and timeline are
+untouched; seeded-chaos serving replays (retries, deadlines,
+degradation, telemetry) are unperturbed.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import FUSED_MHA, BertConfig
 from repro.core.memory_planner import LiveArena
 from repro.core.model import BertEncoderModel
 from repro.core.padding import merge_request_lengths, pack_segments
-from repro.core.parallel import fork_available, make_executor, use_executor
+from repro.core.weights import init_model_weights
+from repro.core.parallel import use_workers
 from repro.gpusim import ExecutionContext
 from repro.serving import DegradationLadder, FaultSpec, ServingRuntime
 from repro.telemetry import Telemetry
 from repro.workloads.batching import ContinuousBatcher
-from repro.workloads.generator import LengthDistribution, make_batch
 from repro.workloads.serving import make_trace
 
 MAX_SEQ = 16
@@ -33,88 +35,53 @@ CHAOS = FaultSpec(
     slow_factor=4.0,
     target_prefixes=("fused_mha", "fmha_"),
 )
-
-#: every executor kind at a fan-out width that exercises it
-EXECUTORS = [("serial", 1), ("thread", 3), ("process", 2)]
-
-DISTRIBUTIONS = [
-    LengthDistribution.UNIFORM,
-    LengthDistribution.NORMAL,
-    LengthDistribution.ZIPF,
-]
+#: module-level (not fixtures) so a falsifying example prints only the
+#: drawn arguments, not a repr of every weight matrix
+WEIGHTS = init_model_weights(CONFIG, seed=7)
 
 
-def executors_available():
-    return [
-        (kind, workers)
-        for kind, workers in EXECUTORS
-        if kind != "process" or fork_available()
-    ]
-
-
-def make_tile(distribution, alpha, hidden, seed=3):
-    """A packed megabatch whose lengths follow the PR-1 matrix cell."""
-    lens = make_batch(
-        12, MAX_SEQ, hidden, alpha=alpha, distribution=distribution,
-        seed=seed,
-    ).seq_lens
-    tile = -(-int(lens.sum()) // 64) * 64
+def make_tile(lens, hidden, seed=3):
+    """A packed megabatch over ``lens``, tile-quantized to 64 rows."""
+    tile = -(-sum(lens) // 64) * 64
     mega = merge_request_lengths(lens, MAX_SEQ, tile)
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(seed)
     segments = [rng.normal(size=(length, hidden)) for length in lens]
     return mega, pack_segments(segments, mega)
 
 
+def run_packed(mega, x_tile, workers, arena):
+    """One fresh model's ``forward_packed`` under ``workers`` threads."""
+    model = BertEncoderModel(
+        CONFIG,
+        FUSED_MHA,
+        weights=WEIGHTS,
+        arena=LiveArena() if arena else None,
+    )
+    ctx = ExecutionContext()
+    with use_workers(workers):
+        out = model.forward_packed(x_tile.copy(), mega, ctx=ctx)
+    return out.copy(), [r.launch for r in ctx.records], ctx.elapsed_us()
+
+
 class TestForwardPackedEquivalence:
-    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
-    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.95])
-    def test_bitwise_equal_over_length_matrix(
-        self, small_config, small_weights, distribution, alpha
+    @given(
+        lens=st.lists(st.integers(1, MAX_SEQ), min_size=1, max_size=12),
+        workers=st.integers(1, 4),
+        arena=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_thread_fanout_bitwise_equal_to_serial(
+        self, lens, workers, arena
     ):
-        mega, x_tile = make_tile(
-            distribution, alpha, small_config.hidden_size
-        )
-        outputs, streams, elapsed = {}, {}, {}
-        for kind, workers in executors_available():
-            # the process executor writes through a shared-memory arena;
-            # the others get a private one so the arena path is the same
-            model = BertEncoderModel(
-                small_config,
-                FUSED_MHA,
-                weights=small_weights,
-                arena=LiveArena(shared=(kind == "process")),
-            )
-            ctx = ExecutionContext()
-            with use_executor(make_executor(kind, workers)):
-                out = model.forward_packed(x_tile.copy(), mega, ctx=ctx)
-            outputs[kind] = out.copy()
-            streams[kind] = [r.launch for r in ctx.records]
-            elapsed[kind] = ctx.elapsed_us()
-        for kind in outputs:
-            np.testing.assert_array_equal(outputs[kind], outputs["serial"])
-            assert streams[kind] == streams["serial"]
-            assert elapsed[kind] == elapsed["serial"]
-
-    def test_no_arena_fallback_matches_serial(
-        self, small_config, small_weights
-    ):
-        # without an arena the process path falls back to per-chunk
-        # scratch; thread fan-out writes the shared np.empty directly —
-        # both must still produce the serial bits
-        mega, x_tile = make_tile(
-            LengthDistribution.ZIPF, 0.6, small_config.hidden_size
-        )
-        model = BertEncoderModel(
-            small_config, FUSED_MHA, weights=small_weights
-        )
-        expected = model.forward_packed(x_tile.copy(), mega).copy()
-        for kind, workers in executors_available():
-            with use_executor(make_executor(kind, workers)):
-                got = model.forward_packed(x_tile.copy(), mega)
-            np.testing.assert_array_equal(got, expected)
+        mega, x_tile = make_tile(lens, CONFIG.hidden_size)
+        want = run_packed(mega, x_tile, 1, arena)
+        got = run_packed(mega, x_tile, workers, arena)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert got[2] == want[2]
 
 
-def run_chaos_replay(executor, workers, telemetry=None):
+def run_chaos_replay(workers, telemetry=None):
     trace = make_trace(
         32, 96, mean_interarrival_us=250.0, seed=5, deadline_us=50_000.0
     )
@@ -128,25 +95,19 @@ def run_chaos_replay(executor, workers, telemetry=None):
         numerics=BertEncoderModel(CONFIG, seed=11),
         seed=11,
         workers=workers,
-        executor=executor,
         telemetry=telemetry,
     )
     return runtime.run(trace)
 
 
 class TestServingEquivalence:
-    @pytest.mark.parametrize(
-        "executor,workers",
-        [(k, w) for k, w in EXECUTORS if k != "serial"],
-    )
-    def test_seeded_chaos_replay_identical(self, executor, workers):
+    @pytest.mark.parametrize("workers", [2, 3], ids=lambda w: f"thread-{w}")
+    def test_seeded_chaos_replay_identical(self, workers):
         # retries, shedding and the degradation ladder all fire under
         # chaos; fanning the numeric plane out across workers must not
         # move a single outcome, fault, transition or output bit
-        if executor == "process" and not fork_available():
-            pytest.skip("platform lacks the fork start method")
-        base = run_chaos_replay("serial", 1)
-        par = run_chaos_replay(executor, workers)
+        base = run_chaos_replay(1)
+        par = run_chaos_replay(workers)
         assert par.outcome_log() == base.outcome_log()
         assert par.injected_faults == base.injected_faults
         assert par.transitions == base.transitions
@@ -156,12 +117,10 @@ class TestServingEquivalence:
         for rid in base.outputs:
             assert np.array_equal(par.outputs[rid], base.outputs[rid])
 
-    def test_telemetry_neutral_under_process_executor(self):
-        if not fork_available():
-            pytest.skip("platform lacks the fork start method")
+    def test_telemetry_neutral_under_thread_executor(self):
         tel = Telemetry()
-        off = run_chaos_replay("process", 2)
-        on = run_chaos_replay("process", 2, telemetry=tel)
+        off = run_chaos_replay(3)
+        on = run_chaos_replay(3, telemetry=tel)
         assert on.outcome_log() == off.outcome_log()
         assert on.makespan_us == off.makespan_us
         for rid in off.outputs:

@@ -1,4 +1,4 @@
-"""Executor semantics: ordering, fan-out, context stacking, forking."""
+"""Executor semantics: ordering, fan-out, context stacking."""
 
 import threading
 
@@ -8,18 +8,10 @@ import pytest
 from repro.core.parallel import (
     SERIAL_EXECUTOR,
     BucketExecutor,
-    ProcessExecutor,
     current_executor,
-    fork_available,
-    inplace_executor,
-    make_executor,
     partition_weighted,
     use_executor,
     use_workers,
-)
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="platform lacks the fork start method"
 )
 
 
@@ -27,6 +19,10 @@ class TestBucketExecutor:
     def test_workers_validated(self):
         with pytest.raises(ValueError, match=">= 1"):
             BucketExecutor(0)
+
+    def test_kind_property(self):
+        assert BucketExecutor(1).kind == "serial"
+        assert BucketExecutor(2).kind == "thread"
 
     def test_serial_map_is_a_plain_loop(self):
         ex = BucketExecutor(1)
@@ -128,14 +124,6 @@ class TestCurrentExecutor:
         with use_workers(2) as ex:
             assert ex.map(body, range(6)) == [28 * i for i in range(6)]
 
-    def test_inplace_executor_demotes_process_to_serial(self):
-        with use_executor(ProcessExecutor(4)):
-            assert inplace_executor() is SERIAL_EXECUTOR
-        thread_ex = BucketExecutor(3)
-        with use_executor(thread_ex):
-            assert inplace_executor() is thread_ex
-        assert inplace_executor() is SERIAL_EXECUTOR
-
 
 class TestPartitionWeighted:
     def test_covers_range_contiguously(self):
@@ -193,191 +181,3 @@ class TestPartitionWeighted:
                 bound = float(np.max(lens.astype(np.float64) ** 2))
                 assert np.max(work) <= ideal + bound + 1e-6
                 assert np.min(work) >= ideal - bound - 1e-6
-
-
-class TestMakeExecutor:
-    def test_kinds(self):
-        assert make_executor("serial", 8).workers == 1
-        thread = make_executor("thread", 3)
-        assert isinstance(thread, BucketExecutor) and thread.workers == 3
-        proc = make_executor("process", 3)
-        assert isinstance(proc, ProcessExecutor) and proc.workers == 3
-
-    def test_kind_property(self):
-        assert BucketExecutor(1).kind == "serial"
-        assert BucketExecutor(2).kind == "thread"
-        assert ProcessExecutor(2).kind == "process"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("greenlet", 2)
-
-
-class TestProcessExecutor:
-    def test_workers_validated(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            ProcessExecutor(0)
-
-    def test_serial_fast_path(self):
-        ex = ProcessExecutor(1)
-        main = threading.current_thread()
-        assert ex.map(lambda i: threading.current_thread(), [0, 1]) == [
-            main,
-            main,
-        ]
-
-    @needs_fork
-    def test_results_in_item_order(self):
-        with ProcessExecutor(3) as ex:
-            assert ex.map(lambda i: i * i, range(10)) == [
-                i * i for i in range(10)
-            ]
-
-    @needs_fork
-    def test_runs_in_separate_processes(self):
-        import os
-
-        parent = os.getpid()
-        pids = ProcessExecutor(2).map(lambda i: os.getpid(), range(4))
-        assert all(pid != parent for pid in pids)
-        assert len(set(pids)) == 2  # one fork per chunk
-
-    @needs_fork
-    def test_closures_inherited_without_pickling(self):
-        # a lambda over local state (unpicklable callables are fine:
-        # nothing is pickled on the way in under fork)
-        big = np.arange(1000)
-
-        def body(i):
-            return int(big[i]) + i
-
-        assert ProcessExecutor(2).map(body, [1, 5, 9]) == [2, 10, 18]
-
-    @needs_fork
-    def test_worker_exception_propagates_with_traceback(self):
-        def boom(i):
-            if i == 3:
-                raise KeyError(f"item {i}")
-            return i
-
-        with pytest.raises(RuntimeError, match="KeyError"):
-            ProcessExecutor(2).map(boom, range(6))
-
-    @needs_fork
-    def test_parent_state_writes_die_with_the_fork(self):
-        cell = {"value": 0}
-
-        def mutate(i):
-            cell["value"] = 99
-            return cell["value"]
-
-        assert ProcessExecutor(2).map(mutate, range(4)) == [99] * 4
-        assert cell["value"] == 0
-
-    @needs_fork
-    def test_forked_child_runs_nested_fanout_serially(self):
-        def body(i):
-            # the child must not fork grandchildren: its inherited
-            # executor stack is cleared on entry
-            return current_executor() is SERIAL_EXECUTOR
-
-        ex = ProcessExecutor(2)
-        with use_executor(ex):
-            assert ex.map(body, range(4)) == [True] * 4
-
-
-class TestProcessExecutorRecovery:
-    """Worker loss is survived: chunks re-run serially, bitwise-equal."""
-
-    @needs_fork
-    def test_killed_worker_chunk_recovered_bitwise(self):
-        rows = np.arange(12, dtype=np.float64).reshape(4, 3)
-
-        def body(i):
-            return np.tanh(rows[i] * 0.5) + i
-
-        expected = [body(i) for i in range(4)]
-        ex = ProcessExecutor(
-            2, fault_hook=lambda ordinal: "worker-kill" if ordinal == 0 else None
-        )
-        got = ex.map(body, range(4))
-        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-        assert ex.recoveries == ["died"]
-
-    @needs_fork
-    def test_hung_worker_reaped_by_wall_clock_guard(self):
-        ex = ProcessExecutor(
-            2,
-            wall_clock_guard_s=0.5,
-            fault_hook=lambda ordinal: "worker-hang" if ordinal == 1 else None,
-        )
-        assert ex.map(lambda i: i * 3, range(6)) == [0, 3, 6, 9, 12, 15]
-        assert ex.recoveries == ["hung"]
-
-    @needs_fork
-    def test_every_worker_lost_still_completes(self):
-        ex = ProcessExecutor(3, fault_hook=lambda ordinal: "worker-kill")
-        assert ex.map(lambda i: i + 1, range(9)) == list(range(1, 10))
-        assert ex.recoveries == ["died", "died", "died"]
-
-    @needs_fork
-    def test_recovery_counted_in_telemetry(self):
-        from repro.telemetry import Telemetry, use_telemetry
-        from repro.telemetry.slo import EXECUTOR_WORKER_RECOVERIES_TOTAL
-
-        tel = Telemetry()
-        ex = ProcessExecutor(
-            2, fault_hook=lambda ordinal: "worker-kill" if ordinal == 0 else None
-        )
-        with use_telemetry(tel):
-            ex.map(lambda i: i, range(4))
-        counter = tel.metrics.counter(
-            EXECUTOR_WORKER_RECOVERIES_TOTAL, kind="died"
-        )
-        assert counter.value == 1
-
-    @needs_fork
-    def test_arm_chaos_resets_ordinals_and_log(self):
-        verdicts = []
-
-        def hook(ordinal):
-            verdicts.append(ordinal)
-            return "worker-kill" if ordinal == 0 else None
-
-        ex = ProcessExecutor(2, fault_hook=hook)
-        ex.map(lambda i: i, range(4))
-        assert ex.recoveries == ["died"]
-        ex.arm_chaos(hook)  # fresh run: ordinals restart at 0
-        ex.map(lambda i: i, range(4))
-        assert verdicts == [0, 1, 0, 1]
-        assert ex.recoveries == ["died"]  # log was reset, not appended
-
-    @needs_fork
-    def test_genuine_exception_still_raises_under_chaos(self):
-        def boom(i):
-            if i == 2:
-                raise ValueError(f"item {i}")
-            return i
-
-        ex = ProcessExecutor(2, fault_hook=lambda ordinal: None)
-        with pytest.raises(RuntimeError, match="ValueError"):
-            ex.map(boom, range(4))
-        assert ex.recoveries == []
-
-    def test_wall_clock_guard_validated(self):
-        with pytest.raises(ValueError, match="wall_clock_guard_s"):
-            ProcessExecutor(2, wall_clock_guard_s=0.0)
-
-    def test_fault_plan_verdict_stream_is_deterministic(self):
-        from repro.serving.faults import FaultPlan, FaultSpec
-
-        spec = FaultSpec(worker_kill_rate=0.3, worker_hang_rate=0.3)
-        a = FaultPlan(spec, seed=5)
-        b = FaultPlan(spec, seed=5)
-        stream = [a.worker_verdict(i) for i in range(64)]
-        assert stream == [b.worker_verdict(i) for i in range(64)]
-        assert "worker-kill" in stream and "worker-hang" in stream
-        assert None in stream
-        # a different seed draws a different fate stream
-        c = FaultPlan(spec, seed=6)
-        assert stream != [c.worker_verdict(i) for i in range(64)]

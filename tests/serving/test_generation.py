@@ -320,6 +320,30 @@ class TestNumericWeights:
         held = construction_bytes(seed=0, compute_outputs=True)
         assert copy_bytes <= held < copy_bytes + copy_bytes // 10
 
+    def test_cost_plane_runtime_draws_no_weights(self, monkeypatch):
+        import repro.serving.generation as generation
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("cost-plane runtime drew weights")
+
+        monkeypatch.setattr(generation, "init_decode_cell", no_draw)
+        GenerationRuntime(BertConfig(), seed=0, compute_outputs=False)
+
+    def test_cost_plane_drawn_weights_equal_a_fresh_draw(self):
+        runtime = GenerationRuntime(CFG, seed=4, compute_outputs=False)
+        for got, want in zip(
+            weight_arrays(runtime.weights),
+            weight_arrays(init_decode_cell(CFG, seed=4)),
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_cost_plane_runtime_holds_no_drawn_weights(self):
+        weights = init_decode_cell(BertConfig(), seed=0)
+        copy_bytes = sum(a.nbytes for a in weight_arrays(weights))
+        held = construction_bytes(seed=0, compute_outputs=False)
+        assert held < copy_bytes // 10
+
     def test_replay_bitwise_equals_float32_oracle(self):
         weights = init_decode_cell(CFG, seed=2)
         trace = gen_trace(n=8)

@@ -221,7 +221,6 @@ def test_host_parallel_section(result):
         "cores",
         "executor",
         "workers",
-        "fork_available",
         "tile",
         "segments",
         "total_tokens",
