@@ -3,9 +3,9 @@
 The tentpole invariant of host-path parallelism: how megabatch segment
 chunks fan out across the host — inline or on pool threads — may change
 only wall-clock.  Over generated megabatches (segment lengths, segment
-count, worker count, arena on or off) outputs stay bitwise-identical to
-the serial path and the modelled launch stream and timeline are
-untouched; seeded-chaos serving replays (retries, deadlines,
+count, worker count, arena on or off) and the length-distribution matrix
+outputs stay bitwise-identical to the serial path and the modelled launch
+stream and timeline are untouched; seeded-chaos serving replays (retries, deadlines,
 degradation, telemetry) are unperturbed.
 """
 
@@ -24,6 +24,7 @@ from repro.gpusim import ExecutionContext
 from repro.serving import DegradationLadder, FaultSpec, ServingRuntime
 from repro.telemetry import Telemetry
 from repro.workloads.batching import ContinuousBatcher
+from repro.workloads.generator import LengthDistribution, make_batch
 from repro.workloads.serving import make_trace
 
 MAX_SEQ = 16
@@ -39,6 +40,12 @@ CHAOS = FaultSpec(
 #: drawn arguments, not a repr of every weight matrix
 WEIGHTS = init_model_weights(CONFIG, seed=7)
 
+DISTRIBUTIONS = [
+    LengthDistribution.UNIFORM,
+    LengthDistribution.NORMAL,
+    LengthDistribution.ZIPF,
+]
+
 
 def make_tile(lens, hidden, seed=3):
     """A packed megabatch over ``lens``, tile-quantized to 64 rows."""
@@ -47,6 +54,15 @@ def make_tile(lens, hidden, seed=3):
     rng = np.random.default_rng(seed)
     segments = [rng.normal(size=(length, hidden)) for length in lens]
     return mega, pack_segments(segments, mega)
+
+
+def make_matrix_tile(distribution, alpha, hidden, seed=3):
+    """A packed megabatch whose lengths follow one length-matrix cell."""
+    lens = make_batch(
+        12, MAX_SEQ, hidden, alpha=alpha, distribution=distribution,
+        seed=seed,
+    ).seq_lens
+    return make_tile([int(n) for n in lens], hidden, seed=seed + 1)
 
 
 def run_packed(mega, x_tile, workers, arena):
@@ -79,6 +95,35 @@ class TestForwardPackedEquivalence:
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
         assert got[2] == want[2]
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.95])
+    def test_bitwise_equal_over_length_matrix(self, distribution, alpha):
+        # the length matrix the vectorized engine is gated on, with the
+        # arena in place: a 3-wide thread fan-out keeps the serial bits,
+        # launch stream and modelled timeline
+        mega, x_tile = make_matrix_tile(
+            distribution, alpha, CONFIG.hidden_size
+        )
+        want = run_packed(mega, x_tile, 1, arena=True)
+        got = run_packed(mega, x_tile, 3, arena=True)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+
+    def test_no_arena_fallback_matches_serial(self):
+        # without an arena thread fan-out writes the shared np.empty
+        # directly; one model reused across widths still gives the
+        # serial bits
+        mega, x_tile = make_matrix_tile(
+            LengthDistribution.ZIPF, 0.6, CONFIG.hidden_size
+        )
+        model = BertEncoderModel(CONFIG, FUSED_MHA, weights=WEIGHTS)
+        expected = model.forward_packed(x_tile.copy(), mega).copy()
+        for workers in (2, 3, 4):
+            with use_workers(workers):
+                got = model.forward_packed(x_tile.copy(), mega)
+            np.testing.assert_array_equal(got, expected)
 
 
 def run_chaos_replay(workers, telemetry=None):
