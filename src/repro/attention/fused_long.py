@@ -25,8 +25,6 @@ import math
 import numpy as np
 
 from repro.attention.bucketed import (
-    _bucket_qkv,
-    _bucket_qkv_into,
     acquire_bucket_scratch,
     build_buckets,
     release_bucket_scratch,
@@ -43,8 +41,8 @@ from repro.kernels.grouped_gemm import (
     grouped_gemm_launch,
 )
 from repro.kernels.reduction import (
-    EPILOGUE_TILE_N,
     apply_softmax_transform,
+    full_reduce_stats,
     full_reduction_kernel,
     full_reduction_launch,
     partial_softmax_stats,
@@ -128,9 +126,7 @@ def fused_long_mha(
             )
         )
         # ---- launch 2: lightweight full reduction over the partials ----
-        # the batched host path reduces each row in one pass, which equals
-        # the two-phase partial/full reduction exactly (same math, fp64);
-        # the modelled kernel is still the per-unit full reduction
+        # the tiled host body below runs both reduction phases per tile
         unit_lens = [seq_lens[b] for b, _ in units]
         context.launch(
             full_reduction_launch(unit_lens, heads=1, category=category)
@@ -230,92 +226,65 @@ def _bucketed_fused_long(
     out: np.ndarray | None = None,
     scratch: LiveArena | None = None,
 ) -> np.ndarray:
-    """Batched numerics of the grouped-GEMM FMHA, one bucket at a time.
+    """Batched numerics of the grouped-GEMM FMHA, one tile at a time.
 
-    The reference path runs its softmax transform and P·V product through
-    the float64 partial-statistics arrays; this path mirrors that dtype
-    flow (fp32 scores, fp64 transform + P·V) so the two engines agree to
-    fp64 rounding, not merely 1e-6.  Buckets run on the current
-    :class:`~repro.core.parallel.BucketExecutor`.  ``scratch`` is honoured
-    only for float64 inputs: the allocating path *upcasts* fp32 scores
-    through the fp64 statistics broadcast, which an in-place transform
-    cannot reproduce.  (The partial-stats arrays stay small and
-    allocating either way.)
+    Every (sequence, head) tile runs the looped reference's per-unit op
+    sequence and dtypes — NT GEMM ``q @ k.T``, scale, the reference's own
+    partial and full softmax reductions, ``exp(x - max) / sum`` into an
+    fp64 ``[L, L]`` tile (fp32 scores upcast on the way in, as the
+    reference's fp64 broadcast does), fp64 ``probs @ v`` written straight
+    into ``out`` — so the engines agree bit for bit.  Each bucket reuses
+    its own tiles across its heads, so buckets may run on the current
+    :class:`~repro.core.parallel.BucketExecutor`.  ``scratch`` is
+    honoured for float64 inputs (the transform runs in place on a tile
+    of the planned ``scores`` buffer); fp32 tiles are allocated, as
+    carving them touched arena pages that raised peak RSS by ~15%.
     """
     tokens = packing.total_tokens
     hidden = num_heads * head_size
+    dtype = qkv_packed.dtype
     if out is None:
-        out = np.empty((tokens, hidden), dtype=qkv_packed.dtype)
+        out = np.empty((tokens, hidden), dtype=dtype)
+    # exact buckets (bucket_step=1) hold no padding, so nothing is masked
     buckets = build_buckets(packing)
     bufs = (
-        acquire_bucket_scratch(
-            scratch, buckets, num_heads, head_size, qkv_packed.dtype
-        )
-        if scratch is not None and qkv_packed.dtype == np.float64
+        acquire_bucket_scratch(scratch, buckets, num_heads, head_size, dtype)
+        if scratch is not None and dtype == np.float64
         else None
     )
 
     def run_bucket(i: int) -> None:
         bucket = buckets[i]
-        bsz, length = bucket.rows.shape
+        length = bucket.length
         if bufs is None:
-            q, kt, v = _bucket_qkv(
-                qkv_packed, qkv_bias, bucket, num_heads, head_size
-            )
-            scores = np.matmul(q, kt)
-        else:
-            q, kt, v = _bucket_qkv_into(
-                qkv_packed, qkv_bias, bucket, num_heads, head_size, bufs[i]
-            )
-            scores = np.matmul(q, kt, out=bufs[i]["scores"])
-        scores *= scale
-        if bucket.valid is not None:
-            np.copyto(
-                scores,
-                np.float32(-1e30),
-                where=~bucket.valid[:, None, None, :],
-            )
-        # batched two-phase reduction (Figure 8): per-128-column-tile
-        # partial max / exp-sum in fp32, combined with fp64 rescaling —
-        # the same op sequence (and dtypes) as partial_softmax_stats +
-        # full_reduce_stats run per unit, so the engines agree bitwise
-        blocks = math.ceil(length / EPILOGUE_TILE_N)
-        pmax = np.empty(scores.shape[:-1] + (blocks,))
-        psum = np.empty_like(pmax)
-        for blk in range(blocks):
-            chunk = scores[
-                ..., blk * EPILOGUE_TILE_N : (blk + 1) * EPILOGUE_TILE_N
-            ]
-            cmax = chunk.max(axis=-1)
-            pmax[..., blk] = cmax
-            psum[..., blk] = np.exp(chunk - cmax[..., None]).sum(axis=-1)
-        row_max = pmax.max(axis=-1)
-        rescale = np.exp(pmax - row_max[..., None])
-        row_sum = (psum * rescale).sum(axis=-1)
-        if bufs is None:
-            probs = np.exp(scores - row_max[..., None]) / row_sum[..., None]
-            attn = np.matmul(probs, v.astype(np.float64))
-            merged: np.ndarray = attn.transpose(0, 2, 1, 3).reshape(
-                bsz * length, hidden
+            blk = qkv_packed[bucket.rows.ravel()]
+            blk += qkv_bias
+            probs = np.empty((length, length))
+            scores = (
+                probs if dtype == np.float64 else np.empty_like(probs, dtype)
             )
         else:
-            # the same transform as the stepwise ufunc chain (scores are
-            # already fp64 here, so no upcast is lost) and the same BLAS
-            # product — v is fp64, so ``v.astype(np.float64)`` was a copy
-            np.subtract(scores, row_max[..., None], out=scores)
-            np.exp(scores, out=scores)
-            np.divide(scores, row_sum[..., None], out=scores)
-            attn = np.matmul(scores, v, out=bufs[i]["ctx"])
-            merged = bufs[i]["merged"]
-            np.copyto(
-                merged.reshape(bsz, length, num_heads, head_size),
-                attn.transpose(0, 2, 1, 3),
+            blk = np.take(
+                qkv_packed, bucket.rows.ravel(), axis=0, out=bufs[i]["blk"]
             )
-        if bucket.valid is None:
-            out[bucket.rows.ravel()] = merged
-        else:
-            flat_valid = bucket.valid.ravel()
-            out[bucket.rows.ravel()[flat_valid]] = merged[flat_valid]
+            np.add(blk, qkv_bias, out=blk)
+            flat = bufs[i]["scores"].reshape(-1)
+            probs = scores = flat[: length * length].reshape(length, length)
+        for b, start in enumerate(bucket.rows[:, 0]):
+            seq = blk[b * length : (b + 1) * length]
+            qkv = seq.reshape(length, 3, num_heads, head_size)
+            for h in range(num_heads):
+                np.matmul(qkv[:, 0, h], qkv[:, 1, h].T, out=scores)
+                scores *= scale
+                stats = partial_softmax_stats(scores)
+                row_max, row_sum = full_reduce_stats(*stats)
+                # apply_softmax_transform, written into the fp64 tile
+                np.subtract(scores, row_max[:, None], out=probs)
+                np.exp(probs, out=probs)
+                np.divide(probs, row_sum[:, None], out=probs)
+                cols = slice(h * head_size, (h + 1) * head_size)
+                rows = slice(start, start + length)
+                np.matmul(probs, qkv[:, 2, h], out=out[rows, cols])
 
     current_executor().map(run_bucket, range(len(buckets)))
     if bufs is not None:

@@ -450,9 +450,11 @@ def plan_live_forward(
     :class:`ArenaAllocator` predicts the converged backing-buffer size.
 
     ``mha`` mirrors the dispatch override: ``"fused"`` plans the
-    bucketed scratch buffers (both the short and the grouped long kernel
-    use the same bucket buffers), ``"zeropad"``/``"cublas"`` plan none
-    (those paths allocate internally and are not arena-backed).
+    bucketed scratch buffers (the short kernel fills them all; the
+    grouped long kernel takes them only for float64 forwards and uses
+    ``blk`` plus one tile-sized slice of ``scores``), ``"zeropad"``/
+    ``"cublas"`` plan none (those paths allocate internally and are not
+    arena-backed).
     """
     from repro.attention.bucketed import build_buckets
     from repro.core.padding import packing_from_lengths

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attention.bucketed import bucketed_sdpa, build_buckets
 from repro.attention.fused_long import fused_long_mha
@@ -18,9 +20,12 @@ from repro.attention.zeropad_softmax_mha import zeropad_softmax_mha
 from repro.core.engine import LOOPED, VECTORIZED, use_engine
 from repro.core.model import BertEncoderModel
 from repro.core.config import STEPWISE_PRESETS, BertConfig
+from repro.core.memory_planner import LiveArena
 from repro.core.padding import packing_from_lengths
+from repro.core.parallel import use_workers
 from repro.gpusim.stream import ExecutionContext
 from repro.kernels.grouped_gemm import grouped_gemm
+from repro.kernels.reduction import EPILOGUE_TILE_N
 from repro.workloads.generator import make_batch
 
 MAX_SEQ = 48
@@ -94,6 +99,56 @@ def test_exact_buckets_are_bitwise(variant):
     out_loop, _ = _run(mha, qkv, bias, packing, LOOPED)
     out_vec, _ = _run(mha, qkv, bias, packing, VECTORIZED)
     assert np.array_equal(out_loop, out_vec)
+
+
+#: longest sentence of the long-path property: several 128-wide epilogue
+#: tiles, so multi-block partial stats and ragged final blocks are hit
+LONG_MAX_SEQ = 600
+
+
+@given(
+    lens=st.lists(
+        st.one_of(
+            st.integers(1, LONG_MAX_SEQ),
+            st.integers(1, 4).map(lambda n: n * EPILOGUE_TILE_N),
+            st.integers(1, EPILOGUE_TILE_N - 1),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    num_heads=st.sampled_from([1, 3, NUM_HEADS]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    arena=st.booleans(),
+    workers=st.integers(1, 2),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_long_path_bitwise_beyond_one_epilogue_tile(
+    lens, num_heads, dtype, arena, workers
+):
+    """The tiled long kernel equals the looped reference bit for bit."""
+    hidden = num_heads * HEAD_SIZE
+    packing = packing_from_lengths(
+        np.asarray(lens, dtype=np.int64), max(lens), cache=None
+    )
+    rng = np.random.default_rng(len(lens))
+    qkv = rng.standard_normal((packing.total_tokens, 3 * hidden)).astype(dtype)
+    bias = rng.standard_normal(3 * hidden).astype(dtype)
+    with use_engine(LOOPED):
+        ctx_loop = ExecutionContext()
+        want = fused_long_mha(qkv, bias, packing, num_heads, ctx=ctx_loop)
+    scratch = LiveArena() if arena else None
+    # with an arena, the second call is served from the grown backing
+    for _ in range(2 if arena else 1):
+        if scratch is not None:
+            scratch.begin()
+        with use_engine(VECTORIZED), use_workers(workers):
+            ctx_vec = ExecutionContext()
+            got = fused_long_mha(
+                qkv, bias, packing, num_heads, ctx=ctx_vec, scratch=scratch
+            )
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        _assert_records_identical(ctx_loop.records, ctx_vec.records)
 
 
 @pytest.mark.parametrize("step", [8, 32, 64])

@@ -135,6 +135,7 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "selftest passed" in out
         assert "fused MHA" in out
+        assert "B3 S512:" in out  # the grouped long kernel's batch
 
 
 class TestServeChaos:
