@@ -260,7 +260,6 @@ def _estimate_ffn(
     rows: int,
     config: BertConfig,
     fuse_gelu: bool,
-    name_prefix: str = "",
     ffn: int | None = None,
 ) -> None:
     """The up-projection GEMM (+GELU); ``ffn`` overrides the output
@@ -274,7 +273,7 @@ def _estimate_ffn(
                 rows,
                 ffn,
                 hidden,
-                name=f"{name_prefix}gemm2_fused_bias_gelu",
+                name="gemm2_fused_bias_gelu",
                 category="gemm2",
                 epilogue_bytes=tensor_bytes(ffn),
             )
@@ -282,7 +281,7 @@ def _estimate_ffn(
     else:
         ctx.launch(
             gemm_launch(
-                rows, ffn, hidden, name=f"{name_prefix}gemm2",
+                rows, ffn, hidden, name="gemm2",
                 category="gemm2",
             )
         )

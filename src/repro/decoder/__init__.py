@@ -1,28 +1,23 @@
-"""Encoder-decoder extension (§V / §II-A of the paper).
+"""Decode serving: incremental decoding over a packed, paged KV cache.
 
-The paper optimises an encoder-only BERT but notes that "one can easily
-extend to other transformers that contain the decoder part using the
-optimizations and algorithm proposed in the paper".  This package is that
-extension: the zero-padding algorithm and the fused-MHA machinery applied
-to a Transformer *decoder* —
+The paper optimises an encoder-only BERT and notes (§V) that its
+techniques "can easily extend" to decoder-bearing transformers.  This
+package applies the zero-padding idea to the time axis of autoregressive
+generation, where every in-flight sequence has a different context
+length —
 
-* **causal self-attention**, padding-free: the short kernel's triangular
-  work, and a grouped-GEMM formulation where each attention unit's lower
-  triangle is decomposed into row-strip sub-problems (variable shapes —
-  exactly what grouped GEMM exists for);
-* **cross-attention** over *two* packed batches (decoder queries against
-  encoder keys/values of different lengths), again as grouped GEMM with
-  rectangular ``tgt_len x src_len`` sub-problems;
-* a full packed decoder layer and an encoder-decoder model validated
-  against a plain NumPy oracle.
+* :mod:`~repro.decoder.generation`: the packed KV cache, the batched
+  single-token decode-attention step and the decode cell that
+  :class:`~repro.serving.generation.GenerationRuntime` serves;
+* :mod:`~repro.decoder.paged_kv`: the block-managed KV arena with
+  swap-based eviction under memory pressure;
+* :mod:`~repro.decoder.estimator`: shape-only pricing of mixed
+  prefill/decode rounds (batched, per-request looped, and tile-quantized
+  with graph replay);
+* :mod:`~repro.decoder.reference`: the dense causal-attention oracle
+  that token-by-token decoding must reproduce.
 """
 
-from repro.decoder.causal import (
-    causal_cross_mha,
-    causal_self_mha,
-    causal_strip_problems,
-    cross_problems,
-)
 from repro.decoder.estimator import (
     canonical_decode_contexts,
     estimate_decode_round,
@@ -41,26 +36,14 @@ from repro.decoder.generation import (
     init_decode_cell,
     max_decode_steps,
 )
-from repro.decoder.layer import decoder_layer_packed
 from repro.decoder.paged_kv import (
     DEFAULT_KV_BLOCK_TOKENS,
     KVPressureError,
     PagedKVArena,
 )
-from repro.decoder.model import Seq2SeqModel
-from repro.decoder.reference import (
-    reference_causal_attention,
-    reference_cross_attention,
-    reference_decoder,
-    reference_decoder_layer,
-)
-from repro.decoder.weights import DecoderLayerWeights, init_decoder_weights
+from repro.decoder.reference import reference_causal_attention
 
 __all__ = [
-    "causal_cross_mha",
-    "causal_self_mha",
-    "causal_strip_problems",
-    "cross_problems",
     "PackedKVCache",
     "decode_attention_launch",
     "decode_self_attention_step",
@@ -78,12 +61,5 @@ __all__ = [
     "estimate_decode_round",
     "estimate_decode_round_looped",
     "estimate_decode_round_tiled",
-    "decoder_layer_packed",
-    "Seq2SeqModel",
     "reference_causal_attention",
-    "reference_cross_attention",
-    "reference_decoder",
-    "reference_decoder_layer",
-    "DecoderLayerWeights",
-    "init_decoder_weights",
 ]

@@ -1,192 +1,19 @@
-"""Shape-only cost estimation for the decoder (lock-step with the
-numeric :mod:`repro.decoder.layer`, enforced by tests)."""
+"""Shape-only cost estimation for the decode serving path.
+
+Prices one mixed prefill/decode round of the decode cell that
+:class:`~repro.serving.generation.GenerationRuntime` serves: batched
+(:func:`estimate_decode_round`), per-request looped for the degraded
+rung (:func:`estimate_decode_round_looped`), and tile-quantized with
+graph replay (:func:`estimate_decode_round_tiled`).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.attention.fused_long import FMHA_GROUPED_EFFICIENCY
-from repro.core.config import BertConfig, OptimizationConfig
-from repro.core.estimator import _estimate_ffn, _estimate_layernorm
-from repro.decoder.causal import (
-    _stats_bytes,
-    causal_strip_problems,
-    cross_problems,
-)
+from repro.core.config import BertConfig
 from repro.gpusim.stream import ExecutionContext
 from repro.kernels.gemm import gemm_launch
-from repro.kernels.grouped_gemm import (
-    GemmProblem,
-    SchedulerKind,
-    grouped_gemm_launch,
-)
-from repro.kernels.packing import pack_launch, unpack_launch
-from repro.kernels.prefix_sum import prefix_sum_launch
-from repro.kernels.reduction import full_reduction_launch
-
-
-def _estimate_grouped_attention(
-    ctx: ExecutionContext,
-    problems: list[GemmProblem],
-    row_lens: list[int],
-    heads: int,
-    head_size: int,
-    scheduler: SchedulerKind,
-    name_prefix: str,
-    category: str,
-) -> None:
-    ctx.launch(
-        grouped_gemm_launch(
-            problems,
-            ctx.device,
-            scheduler=scheduler,
-            name=f"{name_prefix}_grouped_qk",
-            category=category,
-            extra_bytes=_stats_bytes(row_lens, heads),
-            base_efficiency=FMHA_GROUPED_EFFICIENCY,
-        )
-    )
-    unit_lens = [length for length in row_lens for _ in range(heads)]
-    ctx.launch(full_reduction_launch(unit_lens, heads=1, category=category))
-    problems_pv = [GemmProblem(m=p.m, n=head_size, k=p.n) for p in problems]
-    ctx.launch(
-        grouped_gemm_launch(
-            problems_pv,
-            ctx.device,
-            scheduler=scheduler,
-            name=f"{name_prefix}_grouped_pv",
-            category=category,
-            extra_bytes=_stats_bytes(row_lens, heads),
-            base_efficiency=FMHA_GROUPED_EFFICIENCY,
-        )
-    )
-
-
-def estimate_decoder_layer(
-    ctx: ExecutionContext,
-    config: BertConfig,
-    opt: OptimizationConfig,
-    tgt_lens: np.ndarray,
-    src_lens: np.ndarray,
-) -> None:
-    """One packed decoder layer's launch chain (see decoder_layer_packed)."""
-    if not opt.remove_padding:
-        raise ValueError("the packed decoder requires remove_padding")
-    hidden = config.hidden_size
-    heads = config.num_heads
-    head_size = config.head_size
-    t_tokens = int(np.sum(tgt_lens))
-    s_tokens = int(np.sum(src_lens))
-    tgt = [int(v) for v in tgt_lens]
-    src = [int(v) for v in src_lens]
-    scheduler = (
-        SchedulerKind.WARP_PREFETCH
-        if opt.warp_prefetch_scheduler
-        else SchedulerKind.PER_THREAD
-    )
-
-    ctx.launch(
-        gemm_launch(
-            t_tokens, 3 * hidden, hidden, name="dec_gemm_self_qkv",
-            category="gemm0",
-        )
-    )
-    _estimate_grouped_attention(
-        ctx,
-        causal_strip_problems(tgt, heads, head_size),
-        tgt,
-        heads,
-        head_size,
-        scheduler,
-        "causal",
-        "self_attention",
-    )
-    ctx.launch(
-        gemm_launch(
-            t_tokens, hidden, hidden, name="dec_gemm_self_out",
-            category="gemm1",
-        )
-    )
-    _estimate_layernorm(ctx, t_tokens, hidden, opt.fuse_layernorm, "layernorm0")
-
-    ctx.launch(
-        gemm_launch(
-            t_tokens, hidden, hidden, name="dec_gemm_cross_q",
-            category="gemm0",
-        )
-    )
-    ctx.launch(
-        gemm_launch(
-            s_tokens, 2 * hidden, hidden, name="dec_gemm_cross_kv",
-            category="gemm0",
-        )
-    )
-    _estimate_grouped_attention(
-        ctx,
-        cross_problems(tgt, src, heads, head_size),
-        tgt,
-        heads,
-        head_size,
-        scheduler,
-        "cross",
-        "cross_attention",
-    )
-    ctx.launch(
-        gemm_launch(
-            t_tokens, hidden, hidden, name="dec_gemm_cross_out",
-            category="gemm1",
-        )
-    )
-    _estimate_layernorm(ctx, t_tokens, hidden, opt.fuse_layernorm, "layernorm1")
-
-    _estimate_ffn(
-        ctx, t_tokens, config, opt.fuse_gelu, name_prefix="dec_"
-    )
-    ctx.launch(
-        gemm_launch(
-            t_tokens, hidden, config.ffn_size, name="dec_gemm3",
-            category="gemm3",
-        )
-    )
-    _estimate_layernorm(ctx, t_tokens, hidden, opt.fuse_layernorm, "layernorm2")
-
-
-def estimate_seq2seq(
-    ctx: ExecutionContext,
-    config: BertConfig,
-    opt: OptimizationConfig,
-    src_lens: np.ndarray,
-    src_max_seq: int,
-    tgt_lens: np.ndarray,
-    tgt_max_seq: int,
-) -> float:
-    """Full encoder-decoder launch chain; returns the modelled time."""
-    from repro.core.estimator import estimate_encoder_layer
-
-    before = ctx.elapsed_us()
-    hidden = config.hidden_size
-    s_tokens = int(np.sum(src_lens))
-    t_tokens = int(np.sum(tgt_lens))
-
-    # encode (packed memory stays packed — no unpack at the boundary)
-    ctx.launch(prefix_sum_launch(len(src_lens), src_max_seq))
-    ctx.launch(pack_launch(s_tokens, hidden))
-    for _ in range(config.num_layers):
-        estimate_encoder_layer(ctx, config, opt, src_lens, src_max_seq)
-
-    # decode
-    ctx.launch(prefix_sum_launch(len(tgt_lens), tgt_max_seq))
-    ctx.launch(pack_launch(t_tokens, hidden))
-    for _ in range(config.num_layers):
-        estimate_decoder_layer(ctx, config, opt, tgt_lens, src_lens)
-    ctx.launch(
-        unpack_launch(t_tokens, len(tgt_lens) * tgt_max_seq, hidden)
-    )
-    return ctx.elapsed_us() - before
-
-
-# ----------------------------------------------------------------------
-# mixed prefill/decode round pricing (the decode serving path)
 
 #: largest power-of-two quantization target for decode round shapes;
 #: far above any realistic in-flight KV total, so quantize_pow2 never

@@ -1,4 +1,4 @@
-"""Plain-NumPy oracle for the decoder stack."""
+"""Plain-NumPy causal-attention oracle for the decode path."""
 
 from __future__ import annotations
 
@@ -6,18 +6,7 @@ import math
 
 import numpy as np
 
-from repro.core.config import BertConfig
-from repro.decoder.weights import DecoderLayerWeights
-from repro.kernels.activation import gelu_reference
-from repro.kernels.layernorm import layernorm_reference
 from repro.kernels.softmax import softmax_reference
-
-
-def _split_heads(x: np.ndarray, batch: int, seq: int, heads: int) -> np.ndarray:
-    hidden = x.shape[-1]
-    return (
-        x.reshape(batch, seq, heads, hidden // heads).transpose(0, 2, 1, 3)
-    )
 
 
 def reference_causal_attention(
@@ -33,102 +22,3 @@ def reference_causal_attention(
     allowed = causal[None, None] & mask[:, None, None, :].astype(bool)
     scores = np.where(allowed, scores, -1e30)
     return softmax_reference(scores) @ v
-
-
-def reference_cross_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    src_mask: np.ndarray,
-) -> np.ndarray:
-    """Cross attention: decoder queries over valid encoder positions."""
-    head_size = q.shape[-1]
-    scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(head_size)
-    allowed = src_mask[:, None, None, :].astype(bool)
-    scores = np.where(allowed, scores, -1e30)
-    return softmax_reference(scores) @ v
-
-
-def reference_decoder_layer(
-    tgt: np.ndarray,
-    memory: np.ndarray,
-    weights: DecoderLayerWeights,
-    config: BertConfig,
-    tgt_mask: np.ndarray,
-    src_mask: np.ndarray,
-) -> np.ndarray:
-    """One post-LN decoder layer on padded ``[B, S, H]`` batches."""
-    batch, tgt_seq, hidden = tgt.shape
-    src_seq = memory.shape[1]
-    heads = config.num_heads
-    flat = tgt.reshape(batch * tgt_seq, hidden)
-
-    # --- causal self-attention ---
-    qkv = flat @ weights.self_qkv_weight + weights.self_qkv_bias
-    q, k, v = (
-        _split_heads(
-            qkv[:, i * hidden : (i + 1) * hidden], batch, tgt_seq, heads
-        )
-        for i in range(3)
-    )
-    self_attn = (
-        reference_causal_attention(q, k, v, tgt_mask)
-        .transpose(0, 2, 1, 3)
-        .reshape(batch * tgt_seq, hidden)
-    )
-    ln0 = layernorm_reference(
-        self_attn @ weights.self_out_weight + weights.self_out_bias + flat,
-        weights.ln0_gamma,
-        weights.ln0_beta,
-        config.layernorm_eps,
-    )
-
-    # --- cross-attention against the encoder memory ---
-    mem_flat = memory.reshape(batch * src_seq, hidden)
-    q = _split_heads(
-        ln0 @ weights.cross_q_weight + weights.cross_q_bias,
-        batch,
-        tgt_seq,
-        heads,
-    )
-    kv = mem_flat @ weights.cross_kv_weight + weights.cross_kv_bias
-    k = _split_heads(kv[:, :hidden], batch, src_seq, heads)
-    v = _split_heads(kv[:, hidden:], batch, src_seq, heads)
-    cross = (
-        reference_cross_attention(q, k, v, src_mask)
-        .transpose(0, 2, 1, 3)
-        .reshape(batch * tgt_seq, hidden)
-    )
-    ln1 = layernorm_reference(
-        cross @ weights.cross_out_weight + weights.cross_out_bias + ln0,
-        weights.ln1_gamma,
-        weights.ln1_beta,
-        config.layernorm_eps,
-    )
-
-    # --- FFN ---
-    ffn = gelu_reference(ln1 @ weights.ffn_in_weight + weights.ffn_in_bias)
-    ln2 = layernorm_reference(
-        ffn @ weights.ffn_out_weight + weights.ffn_out_bias + ln1,
-        weights.ln2_gamma,
-        weights.ln2_beta,
-        config.layernorm_eps,
-    )
-    return ln2.reshape(batch, tgt_seq, hidden)
-
-
-def reference_decoder(
-    tgt: np.ndarray,
-    memory: np.ndarray,
-    layers: tuple[DecoderLayerWeights, ...],
-    config: BertConfig,
-    tgt_mask: np.ndarray,
-    src_mask: np.ndarray,
-) -> np.ndarray:
-    """Stacked decoder-layer oracle on padded batches."""
-    out = tgt
-    for weights in layers:
-        out = reference_decoder_layer(
-            out, memory, weights, config, tgt_mask, src_mask
-        )
-    return out

@@ -372,27 +372,6 @@ class ServingRuntime:
 
     # ------------------------------------------------------------------
 
-    def generate(self, trace: ServingTrace, **kwargs):
-        """Serve an autoregressive trace through the decode stack.
-
-        Convenience delegate: builds a
-        :class:`~repro.serving.generation.GenerationRuntime` sharing
-        this runtime's config, device, seed, fault spec, retry policy
-        and gateway, and replays ``trace`` through mixed prefill/decode
-        rounds.  Keyword arguments are forwarded (e.g.
-        ``kv_capacity_tokens=...``, ``batcher=...``).
-        """
-        from repro.serving.generation import GenerationRuntime
-
-        kwargs.setdefault("retry", self.retry)
-        kwargs.setdefault("gateway", self.gateway)
-        kwargs.setdefault("faults", self.faults)
-        kwargs.setdefault("device", self.device)
-        kwargs.setdefault("seed", self.seed)
-        kwargs.setdefault("telemetry", self.telemetry)
-        runtime = GenerationRuntime(self.config, **kwargs)
-        return runtime.run(trace)
-
     def run(self, trace: ServingTrace) -> ServingReport:
         """Chaos-replay ``trace``; every request gets exactly one outcome.
 

@@ -1,109 +1,11 @@
-"""Decoder estimator lock-step and seq2seq sweeps."""
+"""Decode-round pricing: tile quantization, graph replay, looped rung."""
 
 import numpy as np
 import pytest
 
-from repro.core.config import BASELINE, FUSED_MHA, RM_PADDING, BertConfig
-from repro.core.padding import pack, packing_from_mask
-from repro.decoder import decoder_layer_packed, init_decoder_weights
-from repro.decoder.estimator import estimate_decoder_layer, estimate_seq2seq
-from repro.gpusim import ExecutionContext
-from repro.workloads.generator import make_batch
+from repro.core.config import BertConfig
 
 CFG = BertConfig(num_heads=4, head_size=16, num_layers=1)
-
-
-@pytest.fixture(scope="module")
-def packed_inputs():
-    dec_w = init_decoder_weights(CFG, seed=2)
-    src = make_batch(3, 24, CFG.hidden_size, alpha=0.6, seed=3)
-    tgt = make_batch(3, 16, CFG.hidden_size, alpha=0.7, seed=4)
-    sp = packing_from_mask(src.mask)
-    tp = packing_from_mask(tgt.mask)
-    mem = pack(src.x.reshape(-1, src.hidden), sp)
-    tgt_p = pack(tgt.x.reshape(-1, tgt.hidden), tp)
-    return dec_w, src, tgt, sp, tp, mem, tgt_p
-
-
-def signature(ctx):
-    return [
-        (r.launch.name, r.launch.grid, round(r.launch.flops, 2))
-        for r in ctx.records
-    ]
-
-
-class TestLockStep:
-    @pytest.mark.parametrize("opt", (RM_PADDING, FUSED_MHA), ids=lambda o: o.label)
-    def test_identical_launch_sequences(self, opt, packed_inputs):
-        dec_w, src, tgt, sp, tp, mem, tgt_p = packed_inputs
-        numeric = ExecutionContext()
-        decoder_layer_packed(
-            tgt_p, mem, dec_w[0], CFG, opt, tp, sp, ctx=numeric
-        )
-        estimated = ExecutionContext()
-        estimate_decoder_layer(estimated, CFG, opt, tgt.seq_lens, src.seq_lens)
-        assert signature(numeric) == signature(estimated)
-        assert estimated.elapsed_us() == pytest.approx(numeric.elapsed_us())
-
-    def test_padded_preset_rejected(self, packed_inputs):
-        _, src, tgt, *_ = packed_inputs
-        with pytest.raises(ValueError, match="remove_padding"):
-            estimate_decoder_layer(
-                ExecutionContext(), CFG, BASELINE, tgt.seq_lens, src.seq_lens
-            )
-
-
-class TestSeq2SeqEstimate:
-    def test_positive_and_deterministic(self):
-        cfg = BertConfig(num_layers=2)
-        rng = np.random.default_rng(0)
-        src_lens = rng.integers(40, 128, size=8)
-        tgt_lens = rng.integers(20, 64, size=8)
-        t1 = estimate_seq2seq(
-            ExecutionContext(), cfg, FUSED_MHA, src_lens, 128, tgt_lens, 64
-        )
-        t2 = estimate_seq2seq(
-            ExecutionContext(), cfg, FUSED_MHA, src_lens, 128, tgt_lens, 64
-        )
-        assert t1 > 0
-        assert t1 == pytest.approx(t2)
-
-    def test_causal_attention_cheaper_than_bidirectional(self):
-        """Same lengths as self-attention targets: the decoder's causal
-        strips must do less grouped-GEMM work than the encoder's full
-        attention."""
-        from repro.core.estimator import estimate_fused_long_mha
-
-        cfg = BertConfig(num_layers=1)
-        lens = np.array([1024] * 4)
-        enc = ExecutionContext()
-        estimate_fused_long_mha(enc, lens, cfg)
-        enc_flops = sum(
-            r.launch.flops for r in enc.records if "grouped_qk" in r.launch.name
-        )
-
-        dec = ExecutionContext()
-        estimate_decoder_layer(dec, cfg, FUSED_MHA, lens, lens)
-        dec_flops = sum(
-            r.launch.flops
-            for r in dec.records
-            if r.launch.name == "causal_grouped_qk"
-        )
-        assert dec_flops < 0.62 * enc_flops
-
-    def test_scheduler_choice_affects_time(self):
-        cfg = BertConfig(num_layers=1)
-        lens = np.array([700, 800, 650, 900] * 4)
-        import dataclasses
-
-        fast = ExecutionContext()
-        estimate_decoder_layer(fast, cfg, FUSED_MHA, lens, lens)
-        slow_opt = dataclasses.replace(
-            FUSED_MHA, warp_prefetch_scheduler=False
-        )
-        slow = ExecutionContext()
-        estimate_decoder_layer(slow, cfg, slow_opt, lens, lens)
-        assert slow.elapsed_us() > fast.elapsed_us()
 
 
 class TestDecodeRoundEstimates:

@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.padding import packing_from_lengths
-from repro.decoder.causal import causal_self_mha
 from repro.decoder.generation import (
     PackedKVCache,
     attend_to_cache,
@@ -16,11 +14,26 @@ from repro.decoder.generation import (
     decode_self_attention_step,
     generation_traffic_ratio,
 )
+from repro.decoder.reference import reference_causal_attention
 from repro.gpusim import ExecutionContext
 from repro.kernels.softmax import softmax_reference
 
 HEADS, HEAD_SIZE = 4, 8
 HIDDEN = HEADS * HEAD_SIZE
+
+
+def full_causal_attention(qkv: np.ndarray) -> np.ndarray:
+    """Dense causal self-attention over one packed ``[L, 3H]`` sequence,
+    returned as ``[L, H]`` rows."""
+    length = qkv.shape[0]
+    q, k, v = (
+        qkv[:, i * HIDDEN : (i + 1) * HIDDEN]
+        .reshape(1, length, HEADS, HEAD_SIZE)
+        .transpose(0, 2, 1, 3)
+        for i in range(3)
+    )
+    out = reference_causal_attention(q, k, v, np.ones((1, length)))
+    return out.transpose(0, 2, 1, 3).reshape(length, HIDDEN)
 
 
 class TestCache:
@@ -66,10 +79,7 @@ class TestIncrementalEqualsFull:
         reproduces the full causal self-attention over the same tokens."""
         length = 9
         qkv = rng.normal(size=(length, 3 * HIDDEN)).astype(np.float64)
-        packing = packing_from_lengths([length], length)
-        full = causal_self_mha(
-            qkv, np.zeros(3 * HIDDEN), packing, HEADS
-        )
+        full = full_causal_attention(qkv)
 
         cache = PackedKVCache(batch=1, hidden=HIDDEN)
         for t in range(length):
@@ -110,8 +120,7 @@ class TestIncrementalEqualsFull:
     def test_property_any_length(self, length):
         rng = np.random.default_rng(length)
         qkv = rng.normal(size=(length, 3 * HIDDEN))
-        packing = packing_from_lengths([length], length)
-        full = causal_self_mha(qkv, np.zeros(3 * HIDDEN), packing, HEADS)
+        full = full_causal_attention(qkv)
         cache = PackedKVCache(batch=1, hidden=HIDDEN)
         for t in range(length):
             out = decode_self_attention_step(

@@ -231,16 +231,6 @@ class TestGateway:
         assert_served_bitwise(runtime, trace, report)
 
 
-class TestRuntimeDelegate:
-    def test_serving_runtime_generate(self):
-        from repro.serving.runtime import ServingRuntime
-
-        trace = gen_trace(n=4)
-        report = ServingRuntime(CFG).generate(trace)
-        assert len(report.served) == 4
-        assert report.generated_tokens > 0
-
-
 class TestReport:
     def test_us_per_token_and_hit_rate(self):
         trace = gen_trace(n=10)

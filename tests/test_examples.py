@@ -19,7 +19,6 @@ CASES = {
     "attention_scaling.py": "grouped",
     "serving_variable_length.py": "ByteTransformer",
     "batching_policies.py": "fifo",
-    "seq2seq_decoder.py": "oracle",
     "serving_chaos.py": "bit-identical to the clean replay: True",
     "loadtest.py": "no silent loss: True",
 }
