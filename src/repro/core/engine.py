@@ -25,8 +25,7 @@ LOOPED = "looped"
 #: length-bucketed batched execution (default)
 VECTORIZED = "vectorized"
 
-#: every selectable engine, most conservative first — the serving
-#: runtime's degradation ladder validates its levels against this
+#: every selectable engine, most conservative first
 ENGINES: tuple[str, ...] = (LOOPED, VECTORIZED)
 
 _ENGINES = ENGINES

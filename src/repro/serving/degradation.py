@@ -1,13 +1,15 @@
-"""Graceful degradation: step the engine down under pressure, back up after.
+"""Graceful degradation: step pricing down under pressure, back up after.
 
 A :class:`DegradationLadder` holds an ordered list of
 :class:`DegradationLevel` rungs, most aggressive first.  Each rung names
-a host execution engine (``vectorized`` / ``looped`` — switched through
-:func:`repro.core.engine.use_engine`; the two are bit-identical, so
-stepping down never changes served outputs) and an attention dispatch
-path (``fused`` / ``zeropad`` / ``cublas`` — forced through
-:func:`repro.attention.dispatch.force_mha_path`, walking the fused MHA
-back to conservative batched-GEMM kernels).
+an attention dispatch path (``fused`` / ``zeropad`` / ``cublas`` —
+forced through :func:`repro.attention.dispatch.force_mha_path`, walking
+the fused MHA back to conservative batched-GEMM kernels), optionally
+pins the exact GELU, and names a decode pricing path.  Every rung
+computes the same function, so stepping down never changes served
+outputs.  Rungs do not switch the host execution engine: the
+``vectorized`` and ``looped`` engines give the same bits and the same
+launch stream, so a looped rung could only make the host slower.
 
 The ladder trips downward when enough incidents (injected faults or
 deadline misses) land inside a sliding window, and recovers one rung at
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attention.dispatch import MHA_PATHS
-from repro.core.engine import ENGINES, LOOPED, VECTORIZED
 from repro.telemetry import current_telemetry
 from repro.telemetry.slo import DEGRADATIONS_TOTAL
 
@@ -37,7 +38,7 @@ DECODE_PATHS = ("batched", "looped")
 
 @dataclass(frozen=True)
 class DegradationLevel:
-    """One rung: a host engine plus an attention dispatch path.
+    """One rung: an attention dispatch path and its numeric pins.
 
     ``exact_gelu`` pins the rung to the exact (erf) GELU formula via
     :func:`repro.kernels.activation.force_gelu_variant` even when the
@@ -48,7 +49,6 @@ class DegradationLevel:
     """
 
     name: str
-    engine: str
     mha_path: str
     exact_gelu: bool = False
     #: which decode pricing path the rung uses — ``"batched"`` is the
@@ -60,10 +60,6 @@ class DegradationLevel:
     decode_path: str = "batched"
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; pick one of {ENGINES}"
-            )
         if self.mha_path not in MHA_PATHS:
             raise ValueError(
                 f"unknown MHA path {self.mha_path!r}; pick one of {MHA_PATHS}"
@@ -75,28 +71,25 @@ class DegradationLevel:
             )
 
 
-#: the default ladder, most aggressive first: full vectorized fused
-#: serving, then the conservative looped host engine (which also drops
-#: any fast-GELU approximation), then progressively less fused
-#: attention kernels
+#: the default ladder, most aggressive first: full fused serving, then
+#: fused serving without any fast-GELU approximation, then progressively
+#: less fused attention kernels.  The second rung keeps its historical
+#: name ``looped-host`` (from when it also switched the host engine):
+#: it is a key in outcome logs and reports.
 DEFAULT_LEVELS: tuple[DegradationLevel, ...] = (
-    DegradationLevel("full", VECTORIZED, "fused"),
-    DegradationLevel("looped-host", LOOPED, "fused", exact_gelu=True),
-    DegradationLevel("zeropad-softmax", LOOPED, "zeropad", exact_gelu=True),
-    DegradationLevel("unfused-cublas", LOOPED, "cublas", exact_gelu=True),
+    DegradationLevel("full", "fused"),
+    DegradationLevel("looped-host", "fused", exact_gelu=True),
+    DegradationLevel("zeropad-softmax", "zeropad", exact_gelu=True),
+    DegradationLevel("unfused-cublas", "cublas", exact_gelu=True),
 )
 
 #: the decode serving ladder: the batched paged-varlen round, then the
 #: per-request looped chain (same bits, conservative pricing, immune to
 #: faults targeting the batched kernel)
 DECODE_LEVELS: tuple[DegradationLevel, ...] = (
-    DegradationLevel("decode-batched", VECTORIZED, "fused"),
+    DegradationLevel("decode-batched", "fused"),
     DegradationLevel(
-        "decode-looped",
-        LOOPED,
-        "fused",
-        exact_gelu=True,
-        decode_path="looped",
+        "decode-looped", "fused", exact_gelu=True, decode_path="looped"
     ),
 )
 

@@ -39,9 +39,8 @@ compare cast-once against cast-per-call on every served stream.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,7 +60,6 @@ from repro.decoder.paged_kv import (
     PagedKVArena,
 )
 from repro.gpusim.device import A100_SPEC, DeviceSpec
-from repro.gpusim.errors import TransientFault
 from repro.gpusim.graph import GraphCache
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import BYTES_PER_ELEMENT
@@ -71,28 +69,21 @@ from repro.serving.degradation import (
     DECODE_LEVELS,
     DegradationLadder,
     DegradationLevel,
-    LadderTransition,
 )
-from repro.serving.faults import NO_FAULTS, FaultPlan, FaultSpec, InjectedFault
-from repro.serving.gateway import AdmissionGateway, QosClass
+from repro.serving.faults import NO_FAULTS, FaultSpec
+from repro.serving.gateway import AdmissionGateway
+from repro.serving.loop import ServingLoop
 from repro.serving.report import (
     Outcome,
     REASON_ADMISSION,
-    REASON_DEADLINE,
     REASON_RETRY_BUDGET,
-    RequestOutcome,
+    ServingReport,
 )
 from repro.serving.retry import RetryPolicy
-from repro.telemetry import (
-    COUNT_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS_US,
-    RATIO_BUCKETS,
-    REQUEST_CATEGORY,
-    Telemetry,
-    use_telemetry,
-)
+from repro.telemetry import RATIO_BUCKETS, Telemetry
 from repro.telemetry import slo as metric_names
 from repro.workloads.batching import (
+    DecodeRound,
     MixedContinuousBatcher,
     TokenBudgetExceededError,
     shed_expired,
@@ -128,17 +119,13 @@ class _GenState:
 
 
 @dataclass(frozen=True)
-class GenerationReport:
-    """Everything one decode chaos replay is accountable for."""
+class GenerationReport(ServingReport):
+    """Everything one decode chaos replay is accountable for.
 
-    outcomes: tuple[RequestOutcome, ...]
-    transitions: tuple[LadderTransition, ...]
-    injected_faults: tuple[InjectedFault, ...]
-    top_level: str
-    gpu_busy_us: float
-    makespan_us: float
-    #: generated hidden rows per served request: ``rid -> [T, H]``
-    outputs: dict[int, np.ndarray] = field(default_factory=dict, compare=False)
+    ``outputs`` holds the generated hidden rows per served request
+    (``rid -> [T, H]``).
+    """
+
     #: simulated finish instant of each generated token, per request
     token_times: dict[int, tuple[float, ...]] = field(
         default_factory=dict, compare=False
@@ -149,19 +136,12 @@ class GenerationReport:
     graph_hits: int = 0
     graph_lookups: int = 0
 
-    def by_outcome(self, outcome: Outcome) -> tuple[RequestOutcome, ...]:
-        return tuple(o for o in self.outcomes if o.outcome is outcome)
-
-    @property
-    def served(self) -> tuple[RequestOutcome, ...]:
-        return self.by_outcome(Outcome.SERVED)
-
     def counts(self) -> dict[str, int]:
+        """Outcome tally, without the encoder's served splits."""
         return {
-            "served": len(self.served),
-            "shed": len(self.by_outcome(Outcome.SHED)),
-            "failed": len(self.by_outcome(Outcome.FAILED)),
-            "rejected": len(self.by_outcome(Outcome.REJECTED)),
+            k: v
+            for k, v in super().counts().items()
+            if not k.startswith("served-")
         }
 
     @property
@@ -203,16 +183,7 @@ class GenerationReport:
                     f"{k}={v:g}" for k, v in sorted(self.kv_stats.items())
                 )
             )
-        if self.transitions:
-            lines.append("  degradation transitions:")
-            for t in self.transitions:
-                lines.append(
-                    f"    {t.time_us / 1000:10.2f} ms  "
-                    f"{t.from_level} -> {t.to_level}  ({t.reason})"
-                )
-        else:
-            lines.append("  degradation transitions: none")
-        return "\n".join(lines)
+        return "\n".join(lines + self.transition_lines())
 
 
 class GenerationRuntime:
@@ -249,6 +220,10 @@ class GenerationRuntime:
         alone, never on the values), no float64 weight copy is built
         and default weights are not drawn at all.
     """
+
+    #: no high-water-mark controller: without a gateway, the loop's
+    #: single-tenant pass admits every request
+    admission = None
 
     def __init__(
         self,
@@ -301,6 +276,7 @@ class GenerationRuntime:
         self.telemetry = telemetry
         #: the arena of the most recent run (inspection/tests)
         self.arena: PagedKVArena | None = None
+        self.planner = _DecodePlanner(self)
 
     @property
     def weights(self) -> DecodeCellWeights:
@@ -321,9 +297,6 @@ class GenerationRuntime:
 
     # ------------------------------------------------------------------
 
-    def _new_ctx(self) -> ExecutionContext:
-        return ExecutionContext(self.device)
-
     def prompt_for(self, request: Request) -> np.ndarray:
         """Deterministic ``[len, H]`` prompt, independent of batching."""
         rng = np.random.default_rng([self.seed, request.request_id])
@@ -343,7 +316,7 @@ class GenerationRuntime:
         """Modelled drain capacity in tokens/µs for the gateway DRR."""
         tile = max(self.batcher.effective_tiles())
         service = estimate_decode_round_tiled(
-            self._new_ctx(),
+            ExecutionContext(self.device),
             self.config,
             prefill_tile=tile,
             decode_batch=0,
@@ -353,261 +326,236 @@ class GenerationRuntime:
         )
         return tile / service
 
+    def run(self, trace: ServingTrace) -> GenerationReport:
+        """Replay ``trace``; every request gets exactly one outcome."""
+        return ServingLoop(self).run(trace)
+
+@dataclass
+class _RoundUnit:
+    """One mixed prefill/decode round, as cut and trimmed."""
+
+    round_: DecodeRound
+    prefills: list[Request]
+    decode_ids: list[int]
+    decode_contexts: list[int]
+    ready_us: float
+    #: planned tokens of the round (at least 1)
+    tokens: int
+    device: int = 0
+    qos: None = None
+
+    @property
+    def size(self) -> int:
+        return len(self.prefills) + len(self.decode_ids)
+
+
+class _DecodePlanner:
+    """The decode round planner for :class:`ServingLoop`.
+
+    Rounds are cut from the live state (arrivals, waiting prompts,
+    in-flight streams) by the runtime's
+    :class:`~repro.workloads.batching.MixedContinuousBatcher`.  Before a
+    round, paused streams swap back in while their blocks fit; under KV
+    pressure the youngest active streams swap out and the least urgent
+    prompts defer.  A served round commits on the numeric plane and
+    appends every row to the paged KV arena.
+    """
+
+    replicas = 1
+    steals = 0
+
+    def __init__(self, runtime: GenerationRuntime) -> None:
+        self.rt = runtime
+        self._rates: dict[int, float] = {}
+
+    def new_ctx(self) -> ExecutionContext:
+        return ExecutionContext(self.rt.device)
+
+    def admission_estimate_us(
+        self, request: Request, max_seq_len: int
+    ) -> float:
+        """The rows the request puts through rounds (its prompt and
+        every decode step after the first token) at the modelled
+        drain rate."""
+        rate = self._rates.get(max_seq_len)
+        if rate is None:
+            rate = self._rates[max_seq_len] = self.rt.estimate_service_rate(
+                max_seq_len
+            )
+        steps = self.rt.decode_steps_for(request, max_seq_len)
+        return (request.seq_len + steps - 1) / rate
+
     def _price_round(
         self,
         ctx: ExecutionContext,
         level: DegradationLevel,
-        prefill_lens: list[int],
-        prefill_tile: int,
-        decode_contexts: list[int],
-        max_seq_len: int,
+        unit: _RoundUnit,
+        cache: GraphCache | None,
     ) -> float:
+        rt = self.rt
+        prefill_lens = [r.seq_len for r in unit.prefills]
         if level.decode_path == "looped":
             return estimate_decode_round_looped(
                 ctx,
-                self.config,
+                rt.config,
                 np.asarray(prefill_lens, dtype=np.int64),
-                np.asarray(decode_contexts, dtype=np.int64),
+                np.asarray(unit.decode_contexts, dtype=np.int64),
             )
         return estimate_decode_round_tiled(
             ctx,
-            self.config,
-            prefill_tile=prefill_tile if prefill_lens else 0,
-            decode_batch=len(decode_contexts),
-            kv_tokens=int(sum(decode_contexts)),
-            max_seq_len=max_seq_len,
-            block_tokens=self.kv_block_tokens,
-            cache=self.graph_cache,
+            rt.config,
+            prefill_tile=unit.round_.prefill_tile if prefill_lens else 0,
+            decode_batch=len(unit.decode_contexts),
+            kv_tokens=int(sum(unit.decode_contexts)),
+            max_seq_len=self.max_context,
+            block_tokens=rt.kv_block_tokens,
+            cache=cache,
         )
 
     # ------------------------------------------------------------------
+    # the planner protocol
 
-    def run(self, trace: ServingTrace) -> GenerationReport:
-        """Replay ``trace``; every request gets exactly one outcome."""
-        with use_telemetry(self.telemetry):
-            return self._run(trace)
-
-    def _run(self, trace: ServingTrace) -> GenerationReport:
-        self.ladder.reset()
-        config = self.config
-        hidden = config.hidden_size
-        heads = config.num_heads
-        max_context = trace.max_seq_len
+    def prepare(self, trace: ServingTrace) -> None:
         for request in trace.requests:
-            if request.seq_len > self.batcher.token_budget:
+            if request.seq_len > self.rt.batcher.token_budget:
                 raise TokenBudgetExceededError(
                     f"request {request.request_id} has {request.seq_len} "
                     f"prompt tokens, more than the "
-                    f"{self.batcher.token_budget}-token budget"
+                    f"{self.rt.batcher.token_budget}-token budget"
                 )
-        plan_faults = FaultPlan(self.faults, seed=self.seed)
-        jitter_rng = np.random.default_rng([self.seed, 0x5E])
-        outcomes: dict[int, RequestOutcome] = {}
-        originals: dict[int, Request] = {}
-        burn_stats: dict[str, list[int]] = {}
-        tel = self.telemetry
-        if tel is not None and not tel.owns_current_thread():
-            tel = None
-        gateway = self.gateway
 
-        # -- gateway pre-pass ------------------------------------------
-        admitted: list[Request] = []
-        if gateway is not None:
-            if gateway.service_rate is None:
-                gateway.service_rate = self.estimate_service_rate(max_context)
-            gate = gateway.process(trace)
-            for event in gate.rejected:
-                originals[event.request.request_id] = event.request
-                self._settle(
-                    outcomes, originals, burn_stats, tel,
-                    event.request, Outcome.REJECTED, event.reason, None, 0,
-                    now_us=event.t_us,
-                )
-            for event in gate.shed:
-                originals[event.request.request_id] = event.request
-                self._settle(
-                    outcomes, originals, burn_stats, tel,
-                    event.request, Outcome.SHED, event.reason, None, 0,
-                    now_us=event.t_us,
-                )
-            for sched in gate.admitted:
-                orig = sched.request
-                originals[orig.request_id] = orig
-                wait = sched.release_us - orig.arrival_us
-                deadline = orig.deadline_us
-                if deadline is not None:
-                    deadline = deadline - wait
-                    if deadline <= 0.0:
-                        self.ladder.record_deadline_miss(sched.release_us)
-                        self._settle(
-                            outcomes, originals, burn_stats, tel,
-                            orig, Outcome.SHED, REASON_DEADLINE, None, 0,
-                            now_us=sched.release_us,
-                        )
-                        continue
-                admitted.append(
-                    replace(
-                        orig,
-                        arrival_us=sched.release_us,
-                        deadline_us=deadline,
-                    )
-                )
-            admitted.sort(key=lambda r: (r.arrival_us, r.request_id))
-        else:
-            for request in trace.requests:
-                originals[request.request_id] = request
-                admitted.append(request)
+    def start(
+        self, loop: ServingLoop, trace: ServingTrace, admitted: list[Request]
+    ) -> None:
+        rt = self.rt
+        self.loop = loop
+        self.max_context = max_context = trace.max_seq_len
+        admitted = sorted(admitted, key=lambda r: (r.arrival_us, r.request_id))
 
         # -- the arena, sized to the admitted stream -------------------
-        block = self.kv_block_tokens
-        if self.kv_capacity_tokens is not None:
-            capacity = self.kv_capacity_tokens
+        block = rt.kv_block_tokens
+        if rt.kv_capacity_tokens is not None:
+            capacity = rt.kv_capacity_tokens
         else:
             # full-trajectory blocks per request: never any eviction
             capacity = max(
                 block,
                 sum(
-                    -(
-                        -(
-                            r.seq_len
-                            + self.decode_steps_for(r, max_context)
-                            - 1
-                        )
-                        // block
+                    self._blocks(
+                        r.seq_len + rt.decode_steps_for(r, max_context) - 1
                     )
                     * block
                     for r in admitted
                 ),
             )
-        arena = PagedKVArena(
-            hidden, capacity, block_tokens=block, dtype=np.float64
+        self.arena = arena = PagedKVArena(
+            rt.config.hidden_size, capacity, block_tokens=block,
+            dtype=np.float64,
         )
-        self.arena = arena
+        rt.arena = arena
 
-        states: dict[int, _GenState] = {}
+        self.states: dict[int, _GenState] = {}
         for request in admitted:
-            states[request.request_id] = _GenState(
+            self.states[request.request_id] = _GenState(
                 request=request,
-                steps_total=self.decode_steps_for(request, max_context),
+                steps_total=rt.decode_steps_for(request, max_context),
             )
-            prompt_blocks = -(-request.seq_len // block)
-            if prompt_blocks > arena.num_blocks:
+            if self._blocks(request.seq_len) > arena.num_blocks:
                 # the prompt alone can never fit the arena: refuse at
                 # admission instead of deadlocking the eviction loop
-                self._settle(
-                    outcomes, originals, burn_stats, tel,
+                loop.settle(
                     request, Outcome.SHED, REASON_ADMISSION, None, 0,
                     now_us=request.arrival_us,
                 )
-                del states[request.request_id]
+                del self.states[request.request_id]
 
-        pending: deque[Request] = deque(
+        self.pending: deque[Request] = deque(
             s.request
             for s in sorted(
-                states.values(),
+                self.states.values(),
                 key=lambda s: (s.request.arrival_us, s.request.request_id),
             )
         )
-        waiting: list[Request] = []
-        active: list[int] = []
-        paused: list[int] = []
-        busy = 0.0
-        now = 0.0
-        makespan = 0.0
-        rounds = 0
-        generated = 0
-        weights = self._weights64
-        null_ctx = NullContext()
+        self.waiting: list[Request] = []
+        self.active: list[int] = []
+        self.paused: list[int] = []
+        self.now = 0.0
+        self.rounds = 0
+        self.generated = 0
 
-        def settle_served(state: _GenState, finish: float) -> None:
-            nonlocal generated
-            rid = state.request.request_id
-            self._settle(
-                outcomes, originals, burn_stats, tel,
-                state.request, Outcome.SERVED, "",
-                finish - state.request.arrival_us, state.retries,
-                now_us=finish, level=self.ladder.level.name,
-                token_times=tuple(state.token_times),
-            )
-            arena.free(rid)
-            if rid in active:
-                active.remove(rid)
+    def _blocks(self, tokens: int) -> int:
+        """KV blocks that hold ``tokens`` rows."""
+        return -(-tokens // self.rt.kv_block_tokens)
 
-        def charge_swap(tokens: int, name: str) -> float:
-            ctx = self._new_ctx()
-            ctx.launch(_kv_swap_launch(tokens, hidden, name))
-            return ctx.elapsed_us()
+    def _charge_swap(self, tokens: int, name: str) -> None:
+        """Price a KV swap copy and run it on the device."""
+        ctx = self.new_ctx()
+        ctx.launch(_kv_swap_launch(tokens, self.rt.config.hidden_size, name))
+        us = ctx.elapsed_us()
+        self.loop.busy[0] += us
+        self.now += us
+        self.loop.free[0] = self.now
 
-        while pending or waiting or active or paused:
-            while pending and pending[0].arrival_us <= now:
-                waiting.append(pending.popleft())
-            alive, expired = shed_expired(waiting, now)
+    def next_unit(self) -> _RoundUnit | None:
+        loop, arena, states = self.loop, self.arena, self.states
+        while self.pending or self.waiting or self.active or self.paused:
+            while self.pending and self.pending[0].arrival_us <= self.now:
+                self.waiting.append(self.pending.popleft())
+            alive, expired = shed_expired(self.waiting, self.now)
             for request in expired:
-                self.ladder.record_deadline_miss(now)
-                self._settle(
-                    outcomes, originals, burn_stats, tel,
-                    request, Outcome.SHED, REASON_DEADLINE, None, 0,
-                    now_us=now,
-                )
+                loop.miss_deadline(request, self.now)
                 states.pop(request.request_id, None)
-            waiting = alive
+            self.waiting = alive
             # resume preempted requests (oldest paused first) while their
             # blocks fit; the swap-in copy is priced, and the restored
             # K/V are bit-for-bit what was evicted
-            while paused:
-                rid = paused[0]
-                need = -(-(states[rid].request.seq_len
-                           + len(states[rid].tokens) - 1) // block)
+            while self.paused:
+                rid = self.paused[0]
+                state = states[rid]
+                need = self._blocks(
+                    state.request.seq_len + len(state.tokens) - 1
+                )
                 if need > arena.free_blocks:
                     break
-                restored = arena.swap_in(rid)
-                us = charge_swap(restored, "kv_swap_in")
-                busy += us
-                now += us
-                makespan = max(makespan, now)
-                paused.pop(0)
-                active.append(rid)
-            round_ = self.batcher.plan_round(waiting, active, now)
+                self._charge_swap(arena.swap_in(rid), "kv_swap_in")
+                self.paused.pop(0)
+                self.active.append(rid)
+            round_ = self.rt.batcher.plan_round(
+                self.waiting, self.active, self.now
+            )
             if round_ is None:
-                if pending:
-                    now = max(now, pending[0].arrival_us)
+                if self.pending:
+                    self.now = max(self.now, self.pending[0].arrival_us)
                     continue
-                if paused and not active and not waiting:
+                if self.paused and not self.active and not self.waiting:
                     # can't happen with a paused-fits-alone arena (the
                     # admission check refused larger prompts), but never
                     # spin silently
                     raise RuntimeError(
-                        f"paused requests {paused} can never resume"
+                        f"paused requests {self.paused} can never resume"
                     )
-                break
+                return None
             decode_ids = list(round_.decode_ids)
             prefills = list(round_.prefills)
 
             # -- KV pressure: evict the youngest active streams --------
             def blocks_required() -> int:
                 need = sum(arena.blocks_needed(rid, 1) for rid in decode_ids)
-                need += sum(-(-r.seq_len // block) for r in prefills)
+                need += sum(self._blocks(r.seq_len) for r in prefills)
                 return need
 
-            while blocks_required() > arena.free_blocks and active:
+            while blocks_required() > arena.free_blocks and self.active:
                 victim = max(
-                    active,
-                    key=lambda rid: (
-                        states[rid].request.arrival_us,
-                        rid,
-                    ),
+                    self.active,
+                    key=lambda rid: (states[rid].request.arrival_us, rid),
                 )
-                swapped = arena.swap_out(victim)
-                us = charge_swap(swapped, "kv_swap_out")
-                busy += us
-                now += us
-                makespan = max(makespan, now)
-                active.remove(victim)
-                paused.append(victim)
+                self._charge_swap(arena.swap_out(victim), "kv_swap_out")
+                self.active.remove(victim)
+                self.paused.append(victim)
                 if victim in decode_ids:
                     decode_ids.remove(victim)
-                if tel is not None:
-                    tel.metrics.counter(
+                if loop.tel is not None:
+                    loop.tel.metrics.counter(
                         metric_names.KV_EVICTIONS_TOTAL,
                         help="KV arena swap-out preemptions",
                     ).inc()
@@ -623,259 +571,205 @@ class GenerationRuntime:
                 # paused stream fits an otherwise-empty arena.
                 continue
 
-            prefill_lens = [r.seq_len for r in prefills]
-            decode_contexts = [
-                arena.context_len(rid) + 1 for rid in decode_ids
-            ]
-            rounds += 1
-
-            # -- the attempt loop (cost plane) -------------------------
-            start = now
-            attempt = 0
-            abandoned = False
-            while True:
-                level = self.ladder.level
-                ctx = plan_faults.install(self._new_ctx())
-                try:
-                    service = self._price_round(
-                        ctx, level, prefill_lens, round_.prefill_tile,
-                        decode_contexts, max_context,
-                    )
-                except TransientFault:
-                    partial = ctx.elapsed_us()
-                    busy += partial
-                    fault_now = start + partial
-                    self.ladder.record_fault(fault_now)
-                    if tel is not None:
-                        tel.metrics.counter(
-                            metric_names.FAULTS_TOTAL,
-                            help="transient faults injected into attempts",
-                        ).inc()
-                    if attempt >= self.retry.max_retries:
-                        for request in prefills:
-                            self._settle(
-                                outcomes, originals, burn_stats, tel,
-                                request, Outcome.FAILED,
-                                REASON_RETRY_BUDGET, None, attempt,
-                                now_us=fault_now,
-                            )
-                            states.pop(request.request_id, None)
-                            waiting = [
-                                r for r in waiting
-                                if r.request_id != request.request_id
-                            ]
-                        for rid in decode_ids:
-                            self._settle(
-                                outcomes, originals, burn_stats, tel,
-                                states[rid].request, Outcome.FAILED,
-                                REASON_RETRY_BUDGET, None,
-                                states[rid].retries + attempt,
-                                now_us=fault_now,
-                            )
-                            arena.free(rid)
-                            active.remove(rid)
-                            del states[rid]
-                        now = fault_now
-                        makespan = max(makespan, now)
-                        abandoned = True
-                        break
-                    backoff = self.retry.backoff_us(attempt, jitter_rng)
-                    if tel is not None:
-                        tel.metrics.counter(
-                            metric_names.RETRIES_TOTAL,
-                            help="dispatch retries after transient faults",
-                        ).inc()
-                    start = fault_now + backoff
-                    attempt += 1
-                    continue
-                break
-            if abandoned:
-                continue
-
-            finish = start + service
-            busy += service
-            now = finish
-            makespan = max(makespan, finish)
-
-            # -- commit (numeric plane) --------------------------------
-            # One packed QKV GEMM over every row in the round, then
-            # per-request attention over arena-gathered K/V, then one
-            # packed output GEMM.  KV state mutates only here — a
-            # faulted attempt never touched it.
-            if self.compute_outputs:
-                segments = [self.prompt_for(r) for r in prefills]
-                if decode_ids:
-                    segments.append(
-                        np.stack(
-                            [states[rid].tokens[-1] for rid in decode_ids]
-                        )
-                    )
-                packed = np.concatenate(segments) if segments else None
-                qkv = gemm(
-                    packed, weights.qkv_weight, bias=weights.qkv_bias,
-                    ctx=null_ctx, name="decode_qkv", category="decode_gemm",
-                )
-                attn_rows = []
-                offset = 0
-                for request in prefills:
-                    rid = request.request_id
-                    seg = qkv[offset : offset + request.seq_len]
-                    offset += request.seq_len
-                    arena.append_rows(
-                        rid,
-                        seg[:, hidden : 2 * hidden],
-                        seg[:, 2 * hidden :],
-                    )
-                    keys, values = arena.gathered(rid)
-                    attn_rows.append(
-                        attend_to_cache(
-                            seg[-1, :hidden], keys, values, heads
-                        )
-                    )
-                for rid in decode_ids:
-                    row = qkv[offset]
-                    offset += 1
-                    arena.append_rows(
-                        rid,
-                        row[None, hidden : 2 * hidden],
-                        row[None, 2 * hidden :],
-                    )
-                    keys, values = arena.gathered(rid)
-                    attn_rows.append(
-                        attend_to_cache(row[:hidden], keys, values, heads)
-                    )
-                out = gemm(
-                    np.stack(attn_rows), weights.out_weight,
-                    bias=weights.out_bias,
-                    ctx=null_ctx, name="decode_out", category="decode_gemm",
-                )
-            else:
-                out = None
-                for request in prefills:
-                    arena.append_rows(
-                        request.request_id,
-                        np.zeros((request.seq_len, hidden)),
-                        np.zeros((request.seq_len, hidden)),
-                    )
-                for rid in decode_ids:
-                    arena.append_rows(
-                        rid, np.zeros((1, hidden)), np.zeros((1, hidden))
-                    )
-
-            for i, request in enumerate(prefills):
-                rid = request.request_id
-                state = states[rid]
-                state.tokens.append(
-                    out[i] if out is not None else np.zeros(hidden)
-                )
-                state.token_times.append(finish)
-                state.retries += attempt
-                generated += 1
-                waiting = [r for r in waiting if r.request_id != rid]
-                if state.done:
-                    settle_served(state, finish)
-                else:
-                    active.append(rid)
-            for j, rid in enumerate(decode_ids):
-                state = states[rid]
-                state.tokens.append(
-                    out[len(prefills) + j]
-                    if out is not None
-                    else np.zeros(hidden)
-                )
-                state.token_times.append(finish)
-                state.retries += attempt
-                generated += 1
-                if state.done:
-                    settle_served(state, finish)
-            self.ladder.record_success(finish)
-            if tel is not None:
-                tel.tracer.set_now(finish)
-                tel.metrics.counter(
-                    metric_names.DECODE_TOKENS_TOTAL,
-                    help="tokens generated by decode rounds",
-                ).inc(len(prefills) + len(decode_ids))
-                tel.metrics.histogram(
-                    metric_names.KV_BLOCK_OCCUPANCY,
-                    help="valid-token fraction of live KV blocks per round",
-                    buckets=RATIO_BUCKETS,
-                ).observe(arena.occupancy)
-                tel.metrics.histogram(
-                    metric_names.US_PER_TOKEN,
-                    help="modelled service time per valid token (us)",
-                    buckets=COUNT_BUCKETS,
-                ).observe(service / max(1, round_.total_tokens))
-                tel.tracer.instant(
-                    "decode.round",
-                    category="dispatch",
-                    t_us=finish,
-                    prefills=len(prefills),
-                    decode=len(decode_ids),
-                    tile=round_.prefill_tile or None,
-                )
-
-        # -- end-of-run gauges & the no-silent-loss contract -----------
-        if tel is not None:
-            tel.tracer.set_now(makespan)
-            tel.metrics.gauge(
-                metric_names.KV_BYTES_LIVE,
-                help="modelled KV bytes live at the end of the replay",
-            ).set(arena.live_bytes)
-            tel.metrics.gauge(
-                metric_names.KV_BYTES_PEAK,
-                help="modelled peak KV bytes over the replay",
-            ).set(arena.peak_live_bytes)
-            tel.metrics.gauge(
-                metric_names.GPU_BUSY_US,
-                help="modelled GPU busy time (us)",
-            ).set(busy)
-            tel.metrics.gauge(
-                metric_names.MAKESPAN_US,
-                help="modelled makespan of the replay (us)",
-            ).set(makespan)
-            if self.graph_cache is not None:
-                lookups = self.graph_cache.hits + self.graph_cache.misses
-                tel.metrics.gauge(
-                    metric_names.GRAPH_REPLAY_HIT_RATE,
-                    help="launch-graph cache hit rate over the run",
-                ).set(
-                    self.graph_cache.hits / lookups if lookups else 0.0
-                )
-        missing = [
-            r.request_id
-            for r in trace.requests
-            if r.request_id not in outcomes
-        ]
-        if missing:
-            raise RuntimeError(
-                f"generation runtime lost requests {missing}: every "
-                "request must settle as served/shed/failed/rejected"
+            self.rounds += 1
+            return _RoundUnit(
+                round_=round_,
+                prefills=prefills,
+                decode_ids=decode_ids,
+                decode_contexts=[
+                    arena.context_len(rid) + 1 for rid in decode_ids
+                ],
+                ready_us=self.now,
+                tokens=max(1, round_.total_tokens),
             )
-        outputs = {
-            rid: np.stack(state.tokens)
-            for rid, state in states.items()
-            if state.tokens
-            and outcomes[rid].outcome is Outcome.SERVED
-            and self.compute_outputs
-        }
-        token_times = {
-            rid: tuple(state.token_times)
-            for rid, state in states.items()
-            if state.token_times
+        return None
+
+    def span(self, unit: _RoundUnit) -> tuple[str, str, dict]:
+        # not a "dispatch": the critical-path walker keeps decode
+        # streams as single undecomposed edges
+        return (
+            "round",
+            "decode",
+            dict(
+                prefills=len(unit.prefills),
+                decode=len(unit.decode_ids),
+                tile=unit.round_.prefill_tile or None,
+            ),
+        )
+
+    def shed(self, unit: _RoundUnit, now: float, attempt: int) -> None:
+        # waiting prompts were shed for their deadlines before the cut;
+        # a round in flight runs to completion
+        pass
+
+    def price(
+        self,
+        unit: _RoundUnit,
+        ctx: ExecutionContext,
+        level: DegradationLevel,
+    ) -> float:
+        return self._price_round(ctx, level, unit, self.rt.graph_cache)
+
+    def price_top(self, unit: _RoundUnit) -> float:
+        # no graph cache: observation must not move the cache counters
+        return self._price_round(
+            self.new_ctx(), self.rt.ladder.levels[0], unit, None
+        )
+
+    def _settle_served(self, state: _GenState, finish: float) -> None:
+        rid = state.request.request_id
+        self.loop.settle(
+            state.request, Outcome.SERVED, "",
+            finish - state.request.arrival_us, state.retries,
+            now_us=finish, level=self.rt.ladder.level.name,
+            token_times=tuple(state.token_times),
+        )
+        self.arena.free(rid)
+        if rid in self.active:
+            self.active.remove(rid)
+
+    def commit(
+        self,
+        unit: _RoundUnit,
+        level: DegradationLevel,
+        finish: float,
+        attempt: int,
+    ) -> None:
+        rt, arena, states = self.rt, self.arena, self.states
+        hidden, heads = rt.config.hidden_size, rt.config.num_heads
+        prefills, decode_ids = unit.prefills, unit.decode_ids
+        self.now = finish
+
+        # -- commit (numeric plane) ------------------------------------
+        # One packed QKV GEMM over every row in the round, then
+        # per-request attention over arena-gathered K/V, then one packed
+        # output GEMM.  KV state mutates only here — a faulted attempt
+        # never touched it.  Prefills append their prompt rows, decode
+        # steps one row each.
+        rows = [(r.request_id, r.seq_len) for r in prefills]
+        rows += [(rid, 1) for rid in decode_ids]
+        out = None
+        if rt.compute_outputs:
+            weights = rt._weights64
+            null_ctx = NullContext()
+            segments = [rt.prompt_for(r) for r in prefills]
+            if decode_ids:
+                segments.append(
+                    np.stack([states[rid].tokens[-1] for rid in decode_ids])
+                )
+            qkv = gemm(
+                np.concatenate(segments), weights.qkv_weight,
+                bias=weights.qkv_bias,
+                ctx=null_ctx, name="decode_qkv", category="decode_gemm",
+            )
+            attn_rows = []
+            offset = 0
+            for rid, count in rows:
+                seg = qkv[offset : offset + count]
+                offset += count
+                arena.append_rows(
+                    rid, seg[:, hidden : 2 * hidden], seg[:, 2 * hidden :]
+                )
+                keys, values = arena.gathered(rid)
+                attn_rows.append(
+                    attend_to_cache(seg[-1, :hidden], keys, values, heads)
+                )
+            out = gemm(
+                np.stack(attn_rows), weights.out_weight,
+                bias=weights.out_bias,
+                ctx=null_ctx, name="decode_out", category="decode_gemm",
+            )
+        else:
+            # KV bookkeeping runs on lengths alone
+            for rid, count in rows:
+                arena.append_rows(
+                    rid, np.zeros((count, hidden)), np.zeros((count, hidden))
+                )
+
+        for i, (rid, _) in enumerate(rows):
+            state = states[rid]
+            state.tokens.append(out[i] if out is not None else np.zeros(hidden))
+            state.token_times.append(finish)
+            state.retries += attempt
+            self.generated += 1
+            prefilled = i < len(prefills)
+            if prefilled:
+                self.waiting = [r for r in self.waiting if r.request_id != rid]
+            if state.done:
+                self._settle_served(state, finish)
+            elif prefilled:
+                self.active.append(rid)
+        tel = self.loop.tel
+        if tel is not None:
+            tel.metrics.counter(
+                metric_names.DECODE_TOKENS_TOTAL,
+                help="tokens generated by decode rounds",
+            ).inc(len(prefills) + len(decode_ids))
+            tel.metrics.histogram(
+                metric_names.KV_BLOCK_OCCUPANCY,
+                help="valid-token fraction of live KV blocks per round",
+                buckets=RATIO_BUCKETS,
+            ).observe(arena.occupancy)
+            tel.tracer.instant(
+                "decode.round",
+                category="dispatch",
+                t_us=finish,
+                prefills=len(prefills),
+                decode=len(decode_ids),
+                tile=unit.round_.prefill_tile or None,
+            )
+
+    def fail(self, unit: _RoundUnit, now: float, attempt: int) -> None:
+        loop, states = self.loop, self.states
+        self.now = now
+        for request in unit.prefills:
+            loop.settle(
+                request, Outcome.FAILED, REASON_RETRY_BUDGET, None, attempt,
+                now_us=now,
+            )
+            states.pop(request.request_id, None)
+            self.waiting = [
+                r for r in self.waiting if r.request_id != request.request_id
+            ]
+        for rid in unit.decode_ids:
+            loop.settle(
+                states[rid].request, Outcome.FAILED, REASON_RETRY_BUDGET,
+                None, states[rid].retries + attempt, now_us=now,
+            )
+            self.arena.free(rid)
+            self.active.remove(rid)
+            del states[rid]
+
+    def gauges(self, metrics) -> None:
+        metrics.gauge(
+            metric_names.KV_BYTES_LIVE,
+            help="modelled KV bytes live at the end of the replay",
+        ).set(self.arena.live_bytes)
+        metrics.gauge(
+            metric_names.KV_BYTES_PEAK,
+            help="modelled peak KV bytes over the replay",
+        ).set(self.arena.peak_live_bytes)
+
+    def report(self, **common) -> GenerationReport:
+        arena, cache = self.arena, self.rt.graph_cache
+        served = {
+            o.request_id for o in common["outcomes"]
+            if o.outcome is Outcome.SERVED
         }
         return GenerationReport(
-            outcomes=tuple(
-                outcomes[r.request_id] for r in trace.requests
-            ),
-            transitions=tuple(self.ladder.transitions),
-            injected_faults=tuple(plan_faults.injected),
-            top_level=self.ladder.levels[0].name,
-            gpu_busy_us=busy,
-            makespan_us=makespan,
-            outputs=outputs,
-            token_times=token_times,
-            generated_tokens=generated,
-            rounds=rounds,
+            **common,
+            outputs={
+                rid: np.stack(state.tokens)
+                for rid, state in self.states.items()
+                if state.tokens and rid in served and self.rt.compute_outputs
+            },
+            token_times={
+                rid: tuple(state.token_times)
+                for rid, state in self.states.items()
+                if state.token_times
+            },
+            generated_tokens=self.generated,
+            rounds=self.rounds,
             kv_stats={
                 "capacity_tokens": float(arena.capacity_tokens),
                 "peak_live_bytes": float(arena.peak_live_bytes),
@@ -883,122 +777,9 @@ class GenerationRuntime:
                 "swap_ins": float(arena.swap_ins),
                 "overflow_allocs": float(arena.overflow_allocs),
             },
-            graph_hits=self.graph_cache.hits if self.graph_cache else 0,
-            graph_lookups=(
-                self.graph_cache.hits + self.graph_cache.misses
-                if self.graph_cache
-                else 0
-            ),
+            graph_hits=cache.hits if cache else 0,
+            graph_lookups=cache.hits + cache.misses if cache else 0,
         )
-
-    # ------------------------------------------------------------------
-
-    def _settle(
-        self,
-        outcomes: dict[int, RequestOutcome],
-        originals: dict[int, Request],
-        burn_stats: dict[str, list[int]],
-        tel: Telemetry | None,
-        request: Request,
-        outcome: Outcome,
-        reason: str,
-        latency_us: float | None,
-        retries: int,
-        *,
-        now_us: float,
-        level: str | None = None,
-        token_times: tuple[float, ...] = (),
-    ) -> None:
-        orig = originals.get(request.request_id, request)
-        if latency_us is not None and orig.arrival_us != request.arrival_us:
-            latency_us += request.arrival_us - orig.arrival_us
-        if orig.request_id in outcomes:
-            raise RuntimeError(f"request {orig.request_id} settled twice")
-        outcomes[orig.request_id] = RequestOutcome(
-            request_id=orig.request_id,
-            outcome=outcome,
-            reason=reason,
-            latency_us=latency_us,
-            retries=retries,
-            level=level if level is not None else self.ladder.level.name,
-            tenant=orig.tenant,
-        )
-        gateway = self.gateway
-        policy = (
-            gateway.policies.get(orig.tenant) if gateway is not None else None
-        )
-        # per-token streaming accounting: TTFT then inter-token gaps,
-        # measured from the ORIGINAL arrival (gateway wait included)
-        per_token: list[float] = []
-        if token_times:
-            gateway_wait = request.arrival_us - orig.arrival_us
-            per_token.append(token_times[0] - request.arrival_us + gateway_wait)
-            per_token.extend(
-                b - a for a, b in zip(token_times, token_times[1:])
-            )
-        if tel is not None:
-            tel.metrics.counter(
-                metric_names.REQUESTS_TOTAL,
-                help="settled requests by final outcome",
-                outcome=outcome.value,
-            ).inc()
-            if outcome is Outcome.SHED:
-                tel.metrics.counter(
-                    metric_names.SHED_TOTAL,
-                    help="shed requests by reason",
-                    reason=reason,
-                ).inc()
-            if outcome is Outcome.SERVED and latency_us is not None:
-                tel.metrics.histogram(
-                    metric_names.REQUEST_LATENCY_US,
-                    help="end-to-end latency of served requests (us)",
-                    buckets=DEFAULT_LATENCY_BUCKETS_US,
-                ).observe(latency_us)
-            if per_token:
-                tel.metrics.histogram(
-                    metric_names.TTFT_US,
-                    help="time to first generated token (us)",
-                    buckets=DEFAULT_LATENCY_BUCKETS_US,
-                ).observe(per_token[0])
-                for gap in per_token[1:]:
-                    tel.metrics.histogram(
-                        metric_names.INTER_TOKEN_US,
-                        help="gap between consecutive tokens (us)",
-                        buckets=DEFAULT_LATENCY_BUCKETS_US,
-                    ).observe(gap)
-                if orig.tenant:
-                    for value in per_token:
-                        tel.metrics.histogram(
-                            metric_names.TENANT_DECODE_TOKEN_LATENCY_US,
-                            help="per-token latency by tenant (us)",
-                            buckets=DEFAULT_LATENCY_BUCKETS_US,
-                            tenant=orig.tenant,
-                        ).observe(value)
-            tel.tracer.add_span(
-                "request",
-                category=REQUEST_CATEGORY,
-                start_us=orig.arrival_us,
-                end_us=max(orig.arrival_us, now_us),
-                request_id=orig.request_id,
-                seq_len=orig.seq_len,
-                outcome=outcome.value,
-                reason=reason,
-                retries=retries,
-            )
-        if policy is not None and policy.qos is QosClass.LATENCY_SLO:
-            stats = burn_stats.setdefault(orig.tenant, [0, 0])
-            stats[0] += 1
-            bad = outcome is not Outcome.SERVED
-            if not bad and policy.decode_slo_us is not None and per_token:
-                # a served stream whose token cadence blew the tenant's
-                # streaming SLO still burns the error budget
-                late = sum(1 for v in per_token if v > policy.decode_slo_us)
-                bad = late / len(per_token) > (1.0 - policy.slo_target)
-            if bad:
-                stats[1] += 1
-            budget = 1.0 - policy.slo_target
-            if budget > 0.0 and stats[1] / stats[0] > budget:
-                self.ladder.record_budget_burn(now_us)
 
 
 def generate_reference_outputs(

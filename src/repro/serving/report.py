@@ -222,13 +222,14 @@ class ServingReport:
                 f"p95 {stats['p95_ms']:.2f}, "
                 f"p99 {stats['p99_ms']:.2f}"
             )
-        if self.transitions:
-            lines.append("  degradation transitions:")
-            for t in self.transitions:
-                lines.append(
-                    f"    {t.time_us / 1000:10.2f} ms  "
-                    f"{t.from_level} -> {t.to_level}  ({t.reason})"
-                )
-        else:
-            lines.append("  degradation transitions: none")
-        return "\n".join(lines)
+        return "\n".join(lines + self.transition_lines())
+
+    def transition_lines(self) -> list[str]:
+        """The degradation story, one rendered line per transition."""
+        if not self.transitions:
+            return ["  degradation transitions: none"]
+        return ["  degradation transitions:"] + [
+            f"    {t.time_us / 1000:10.2f} ms  "
+            f"{t.from_level} -> {t.to_level}  ({t.reason})"
+            for t in self.transitions
+        ]

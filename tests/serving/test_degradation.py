@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.engine import LOOPED, VECTORIZED
 from repro.serving.degradation import (
     DEFAULT_LEVELS,
     DegradationLadder,
@@ -18,16 +17,12 @@ def ladder(**kwargs):
 
 class TestLevels:
     def test_default_ladder_shape(self):
-        assert DEFAULT_LEVELS[0].engine == VECTORIZED
         assert DEFAULT_LEVELS[0].mha_path == "fused"
         assert DEFAULT_LEVELS[-1].mha_path == "cublas"
-        assert all(l.engine == LOOPED for l in DEFAULT_LEVELS[1:])
 
     def test_level_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            DegradationLevel("x", "turbo", "fused")
         with pytest.raises(ValueError, match="MHA path"):
-            DegradationLevel("x", LOOPED, "magic")
+            DegradationLevel("x", "magic")
 
 
 class TestLadder:
