@@ -330,6 +330,7 @@ class GenerationRuntime:
         """Replay ``trace``; every request gets exactly one outcome."""
         return ServingLoop(self).run(trace)
 
+
 @dataclass
 class _RoundUnit:
     """One mixed prefill/decode round, as cut and trimmed."""
@@ -415,19 +416,17 @@ class _DecodePlanner:
     # ------------------------------------------------------------------
     # the planner protocol
 
-    def prepare(self, trace: ServingTrace) -> None:
-        for request in trace.requests:
-            if request.seq_len > self.rt.batcher.token_budget:
-                raise TokenBudgetExceededError(
-                    f"request {request.request_id} has {request.seq_len} "
-                    f"prompt tokens, more than the "
-                    f"{self.rt.batcher.token_budget}-token budget"
-                )
-
     def start(
         self, loop: ServingLoop, trace: ServingTrace, admitted: list[Request]
     ) -> None:
         rt = self.rt
+        for request in trace.requests:
+            if request.seq_len > rt.batcher.token_budget:
+                raise TokenBudgetExceededError(
+                    f"request {request.request_id} has {request.seq_len} "
+                    f"prompt tokens, more than the "
+                    f"{rt.batcher.token_budget}-token budget"
+                )
         self.loop = loop
         self.max_context = max_context = trace.max_seq_len
         admitted = sorted(admitted, key=lambda r: (r.arrival_us, r.request_id))

@@ -17,7 +17,7 @@ decode serving share:
 What differs lives in the runtime's round planner, and the loop only
 calls the planner's methods, never asks which planner it has:
 
-- ``replicas``, ``steals``, ``new_ctx()``, ``prepare(trace)`` and
+- ``replicas``, ``steals``, ``new_ctx()`` and
   ``admission_estimate_us(request, max_seq_len)`` (one request's share
   of the committed backlog);
 - ``start(loop, trace, admitted)`` plans the admitted requests, and
@@ -121,37 +121,33 @@ class ServingLoop:
         code (batch cuts, cross-request packing, graph capture/replay,
         ladder steps) records into the same tracer and registry.
         """
-        with use_telemetry(self.runtime.telemetry):
-            return self._run(trace)
-
-    def _run(self, trace):
         rt, planner = self.runtime, self.planner
-        self.ladder.reset()
-        planner.prepare(trace)
-        self.faults = FaultPlan(rt.faults, seed=rt.seed)
-        self.jitter_rng = np.random.default_rng([rt.seed, 0x5E])
-        self.outcomes: dict[int, RequestOutcome] = {}
-        #: gateway-admitted requests by id, keyed to the *original*
-        #: (pre-re-anchoring) request — settling always accounts against
-        #: the original arrival and deadline
-        self.originals = {}
-        #: per-SLO-tenant running [settled, bad] counts for budget burn
-        self.burn_stats: dict[str, list[int]] = {}
-        tel = rt.telemetry
-        if tel is not None and not tel.owns_current_thread():
-            tel = None
-        self.tel = tel
-        self.busy = [0.0] * planner.replicas
-        self.free = [0.0] * planner.replicas
+        with use_telemetry(rt.telemetry):
+            self.ladder.reset()
+            self.faults = FaultPlan(rt.faults, seed=rt.seed)
+            self.jitter_rng = np.random.default_rng([rt.seed, 0x5E])
+            self.outcomes: dict[int, RequestOutcome] = {}
+            #: gateway-admitted requests by id, keyed to the *original*
+            #: (pre-re-anchoring) request — settling always accounts
+            #: against the original arrival and deadline
+            self.originals = {}
+            #: per-SLO-tenant running [settled, bad] counts for budget burn
+            self.burn_stats: dict[str, list[int]] = {}
+            tel = rt.telemetry
+            if tel is not None and not tel.owns_current_thread():
+                tel = None
+            self.tel = tel
+            self.busy = [0.0] * planner.replicas
+            self.free = [0.0] * planner.replicas
 
-        planner.start(self, trace, self._admit(trace))
-        while (unit := planner.next_unit()) is not None:
-            self._serve(unit)
+            planner.start(self, trace, self._admit(trace))
+            while (unit := planner.next_unit()) is not None:
+                self._serve(unit)
 
-        busy_us = sum(self.busy)
-        makespan_us = max(self.free)
-        if tel is not None:
-            self._gauges(busy_us, makespan_us)
+            busy_us = sum(self.busy)
+            makespan_us = max(self.free)
+            if tel is not None:
+                self._gauges(busy_us, makespan_us)
         # -- the no-silent-loss contract, enforced ----------------------
         missing = [
             r.request_id
@@ -176,12 +172,6 @@ class ServingLoop:
 
     # ------------------------------------------------------------------
     # admission front end
-
-    def qos_of(self, request) -> QosClass | None:
-        """The request's QoS class; ``None`` without a gateway."""
-        if self.gateway is None:
-            return None
-        return self.gateway.qos_of(request.tenant)
 
     def level_for(self, qos: QosClass | None):
         """Rung a unit of the given class is priced/served at:
@@ -476,35 +466,20 @@ class ServingLoop:
                 if t is None:
                     t = orig.arrival_us + (latency_us or 0.0)
                 self.ladder.record_budget_burn(t)
-        if self.tel is not None:
-            self._record_settle(
-                orig, outcome, reason, latency_us, retries, now_us,
-                per_token, token_times,
-            )
-
-    def _record_settle(
-        self,
-        request,
-        outcome: Outcome,
-        reason: str,
-        latency_us: float | None,
-        retries: int,
-        now_us: float | None,
-        per_token: list[float],
-        token_times: tuple[float, ...],
-    ) -> None:
-        """Metrics + the request-root span for one settled request."""
         tel = self.tel
+        if tel is None:
+            return
+        # -- metrics + the request-root span -----------------------------
         metrics = tel.metrics
         served = outcome is Outcome.SERVED and latency_us is not None
         met = (
             served
-            and request.deadline_us is not None
-            and latency_us <= request.deadline_us
+            and orig.deadline_us is not None
+            and latency_us <= orig.deadline_us
         )
         scopes = [{}]
-        if request.tenant:
-            scopes.append({"tenant": request.tenant})
+        if orig.tenant:
+            scopes.append({"tenant": orig.tenant})
         for i, labels in enumerate(scopes):
             metrics.counter(
                 *_SETTLED[i], outcome=outcome.value, **labels
@@ -513,7 +488,7 @@ class ServingLoop:
                 metrics.counter(*_SHED[i], reason=reason, **labels).inc()
             if served:
                 metrics.histogram(*_LATENCY[i], **labels).observe(latency_us)
-            if request.deadline_us is not None:
+            if orig.deadline_us is not None:
                 metrics.counter(*_DEADLINE[i], **labels).inc()
                 if met:
                     metrics.counter(*_DEADLINE_MET[i], **labels).inc()
@@ -532,31 +507,32 @@ class ServingLoop:
                     metric_names.INTER_TOKEN_US,
                     help="gap between consecutive tokens (us)",
                 ).observe(gap)
-            for value in per_token if request.tenant else ():
+            for value in per_token if orig.tenant else ():
+                # the tenant mirror pools TTFT and the gaps
                 metrics.histogram(
                     metric_names.TENANT_DECODE_TOKEN_LATENCY_US,
                     help="per-token latency by tenant (us)",
-                    tenant=request.tenant,
+                    tenant=orig.tenant,
                 ).observe(value)
         if token_times:
             # a stream settles at its last token
             end_us = token_times[-1]
         elif served:
-            end_us = request.arrival_us + latency_us
+            end_us = orig.arrival_us + latency_us
         else:
-            end_us = max(request.arrival_us, now_us or request.arrival_us)
+            end_us = max(orig.arrival_us, now_us or orig.arrival_us)
         root_attrs: dict = {}
-        if request.tenant:
+        if orig.tenant:
             # only multi-tenant traces grow the attr, so single-tenant
             # span dumps stay byte-identical to earlier releases
-            root_attrs["tenant"] = request.tenant
+            root_attrs["tenant"] = orig.tenant
         tel.tracer.add_span(
             "request",
             category=REQUEST_CATEGORY,
-            start_us=request.arrival_us,
+            start_us=orig.arrival_us,
             end_us=end_us,
-            request_id=request.request_id,
-            seq_len=request.seq_len,
+            request_id=orig.request_id,
+            seq_len=orig.seq_len,
             outcome=outcome.value,
             reason=reason,
             retries=retries,

@@ -211,6 +211,7 @@ class ServingRuntime:
         """Chaos-replay ``trace``; every request gets exactly one outcome."""
         return ServingLoop(self).run(trace)
 
+
 @dataclass
 class _DispatchUnit:
     """One planned dispatch in flight: its survivors and last attempt."""
@@ -219,15 +220,12 @@ class _DispatchUnit:
     qos: QosClass | None
     device: int
     batch_id: int
+    ready_us: float
     alive: list[Request]
     #: tile, valid tokens and capacity of the last priced attempt
     tile: int | None = None
     tokens: int = 0
     capacity: int = 0
-
-    @property
-    def ready_us(self) -> float:
-        return self.dispatch.ready_us
 
     @property
     def size(self) -> int:
@@ -249,12 +247,9 @@ class _EncoderPlanner:
         self.rt = runtime
         self._executor = BucketExecutor(runtime.workers)
         self._single_estimates: dict[int, float] = {}
+        self.replicas = runtime.replicas
         self._router = ShardRouter(runtime.replicas)
         self.steals = 0
-
-    @property
-    def replicas(self) -> int:
-        return self.rt.replicas
 
     def new_ctx(self) -> ExecutionContext:
         """A pricing context on this runtime's device and interconnect."""
@@ -401,7 +396,9 @@ class _EncoderPlanner:
     # ------------------------------------------------------------------
     # the planner protocol
 
-    def prepare(self, trace: ServingTrace) -> None:
+    def start(
+        self, loop: ServingLoop, trace: ServingTrace, admitted: list[Request]
+    ) -> None:
         rt = self.rt
         if rt.numerics is not None and isinstance(
             rt.batcher, ContinuousBatcher
@@ -412,10 +409,6 @@ class _EncoderPlanner:
             rt.numerics.prereserve_tiles(
                 rt.batcher.effective_tiles(), trace.max_seq_len
             )
-
-    def start(
-        self, loop: ServingLoop, trace: ServingTrace, admitted: list[Request]
-    ) -> None:
         self.loop = loop
         self.max_seq_len = trace.max_seq_len
         self.outputs: dict[int, np.ndarray] = {}
@@ -426,9 +419,11 @@ class _EncoderPlanner:
         #: one data-parallel replica's plan over its Σlen²-routed slice
         #: of a class — a single queue on device 0 when unsharded.
         self.queues: list[tuple[QosClass | None, int, deque[Dispatch]]] = []
+        gateway = loop.gateway
         by_class: dict[QosClass | None, list[Request]] = {}
         for request in admitted:
-            by_class.setdefault(loop.qos_of(request), []).append(request)
+            qos = gateway.qos_of(request.tenant) if gateway else None
+            by_class.setdefault(qos, []).append(request)
         # class-pure plans: each QoS class is batched on its own, so a
         # dispatch is degradable (batch) or protected (SLO) as a whole;
         # SLO before batch is the replay priority order, and each class
@@ -443,7 +438,7 @@ class _EncoderPlanner:
                     requests=tuple(bucket), max_seq_len=trace.max_seq_len
                 )
                 routed_plan = sorted(
-                    self.rt.batcher.plan(sub_trace), key=lambda d: d.ready_us
+                    rt.batcher.plan(sub_trace), key=lambda d: d.ready_us
                 )
                 self.queues.append((qos, dev, deque(routed_plan)))
 
@@ -497,6 +492,7 @@ class _EncoderPlanner:
             qos=qos,
             device=exec_dev,
             batch_id=self.batch_id,
+            ready_us=dispatch.ready_us,
             alive=list(dispatch.requests),
         )
 
