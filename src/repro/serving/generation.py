@@ -276,7 +276,6 @@ class GenerationRuntime:
         self.telemetry = telemetry
         #: the arena of the most recent run (inspection/tests)
         self.arena: PagedKVArena | None = None
-        self.planner = _DecodePlanner(self)
 
     @property
     def weights(self) -> DecodeCellWeights:
@@ -328,7 +327,7 @@ class GenerationRuntime:
 
     def run(self, trace: ServingTrace) -> GenerationReport:
         """Replay ``trace``; every request gets exactly one outcome."""
-        return ServingLoop(self).run(trace)
+        return ServingLoop(self).run(trace, _DecodePlanner(self))
 
 
 @dataclass
@@ -367,7 +366,7 @@ class _DecodePlanner:
 
     def __init__(self, runtime: GenerationRuntime) -> None:
         self.rt = runtime
-        self._rates: dict[int, float] = {}
+        self._rate: float | None = None
 
     def new_ctx(self) -> ExecutionContext:
         return ExecutionContext(self.rt.device)
@@ -378,13 +377,10 @@ class _DecodePlanner:
         """The rows the request puts through rounds (its prompt and
         every decode step after the first token) at the modelled
         drain rate."""
-        rate = self._rates.get(max_seq_len)
-        if rate is None:
-            rate = self._rates[max_seq_len] = self.rt.estimate_service_rate(
-                max_seq_len
-            )
+        if self._rate is None:
+            self._rate = self.rt.estimate_service_rate(max_seq_len)
         steps = self.rt.decode_steps_for(request, max_seq_len)
-        return (request.seq_len + steps - 1) / rate
+        return (request.seq_len + steps - 1) / self._rate
 
     def _price_round(
         self,

@@ -14,8 +14,9 @@ decode serving share:
   fault, retry budget and jittered backoff on the simulated clock;
 - ladder bookkeeping and the end-of-run gauges.
 
-What differs lives in the runtime's round planner, and the loop only
-calls the planner's methods, never asks which planner it has:
+What differs lives in a round planner the runtime builds for each run,
+and the loop only calls the planner's methods, never asks which planner
+it has:
 
 - ``replicas``, ``steals``, ``new_ctx()`` and
   ``admission_estimate_us(request, max_seq_len)`` (one request's share
@@ -99,7 +100,7 @@ _DEADLINE_MET = (
 
 
 class ServingLoop:
-    """One replay of a trace through ``runtime`` and its ``planner``.
+    """One replay of a trace through ``runtime``.
 
     The runtime's knobs (ladder, retry policy, faults, seed, gateway,
     admission controller, telemetry, graph cache) are read when the
@@ -109,19 +110,21 @@ class ServingLoop:
 
     def __init__(self, runtime) -> None:
         self.runtime = runtime
-        self.planner = runtime.planner
         self.ladder = runtime.ladder
         self.gateway = runtime.gateway
 
-    def run(self, trace):
-        """Replay ``trace``; every request gets exactly one outcome.
+    def run(self, trace, planner):
+        """Replay ``trace`` through a fresh ``planner``; every request
+        gets exactly one outcome.
 
-        The whole replay runs under
+        The planner keeps the loop for the run; the loop keeps no
+        reference to the planner, so a finished replay's state is freed
+        as soon as the report is returned.  The whole replay runs under
         :func:`~repro.telemetry.use_telemetry`, so instrumented library
         code (batch cuts, cross-request packing, graph capture/replay,
         ladder steps) records into the same tracer and registry.
         """
-        rt, planner = self.runtime, self.planner
+        rt = self.runtime
         with use_telemetry(rt.telemetry):
             self.ladder.reset()
             self.faults = FaultPlan(rt.faults, seed=rt.seed)
@@ -140,14 +143,14 @@ class ServingLoop:
             self.busy = [0.0] * planner.replicas
             self.free = [0.0] * planner.replicas
 
-            planner.start(self, trace, self._admit(trace))
+            planner.start(self, trace, self._admit(trace, planner))
             while (unit := planner.next_unit()) is not None:
-                self._serve(unit)
+                self._serve(unit, planner)
 
             busy_us = sum(self.busy)
             makespan_us = max(self.free)
             if tel is not None:
-                self._gauges(busy_us, makespan_us)
+                self._gauges(busy_us, makespan_us, planner)
         # -- the no-silent-loss contract, enforced ----------------------
         missing = [
             r.request_id
@@ -181,7 +184,7 @@ class ServingLoop:
             return self.ladder.levels[0]
         return self.ladder.level
 
-    def _admit(self, trace) -> list:
+    def _admit(self, trace, planner) -> list:
         """Settle what the front end turns away; return the rest, in
         admission order (gateway-admitted ones re-anchored to their
         release)."""
@@ -216,7 +219,7 @@ class ServingLoop:
                 admitted.append(request)
                 committed_until = max(
                     committed_until, request.arrival_us
-                ) + self.planner.admission_estimate_us(
+                ) + planner.admission_estimate_us(
                     request, trace.max_seq_len
                 )
             return admitted
@@ -288,8 +291,8 @@ class ServingLoop:
     # ------------------------------------------------------------------
     # one dispatch or round, with retries
 
-    def _serve(self, unit) -> None:
-        planner, ladder, tel = self.planner, self.ladder, self.tel
+    def _serve(self, unit, planner) -> None:
+        ladder, tel = self.ladder, self.tel
         retry = self.runtime.retry
         dev = unit.device
         start = max(unit.ready_us, self.free[dev])
@@ -541,8 +544,8 @@ class ServingLoop:
 
     # ------------------------------------------------------------------
 
-    def _gauges(self, busy_us: float, makespan_us: float) -> None:
-        tel, replicas = self.tel, self.planner.replicas
+    def _gauges(self, busy_us: float, makespan_us: float, planner) -> None:
+        tel, replicas = self.tel, planner.replicas
         tel.tracer.set_now(makespan_us)
         gauges = tel.metrics
         gauges.gauge(
@@ -574,7 +577,7 @@ class ServingLoop:
             gauges.counter(
                 metric_names.STEALS_TOTAL,
                 help="dispatches run away from their routed device",
-            ).inc(self.planner.steals)
+            ).inc(planner.steals)
         cache = self.runtime.graph_cache
         if cache is not None:
             lookups = cache.hits + cache.misses
@@ -582,4 +585,4 @@ class ServingLoop:
                 metric_names.GRAPH_REPLAY_HIT_RATE,
                 help="launch-graph cache hit rate over the run",
             ).set(cache.hits / lookups if lookups else 0.0)
-        self.planner.gauges(gauges)
+        planner.gauges(gauges)

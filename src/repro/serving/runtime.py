@@ -183,7 +183,43 @@ class ServingRuntime:
         self.shard = self.sharding.shard_spec
         #: independent data-parallel serving lanes
         self.replicas = self.sharding.replicas
-        self.planner = _EncoderPlanner(self)
+        self._router = ShardRouter(self.replicas)
+        self._executor = BucketExecutor(workers)
+        self._single_estimates: dict[int, float] = {}
+
+    def _new_ctx(self) -> ExecutionContext:
+        """A pricing context on this runtime's device and interconnect."""
+        return ExecutionContext(self.device, cluster=self.cluster)
+
+    def _price(
+        self,
+        ctx: ExecutionContext,
+        seq_lens: np.ndarray,
+        padded_len: int,
+        level: DegradationLevel,
+    ) -> float:
+        with force_mha_path(level.mha_path):
+            return estimate_model_graphed(
+                ctx, self.config, self.opt, seq_lens, padded_len,
+                shard=self.shard, cache=self.graph_cache,
+            )
+
+    def _price_tile(
+        self,
+        ctx: ExecutionContext,
+        tile: int,
+        max_seq_len: int,
+        level: DegradationLevel,
+    ) -> float:
+        """Price a continuous megabatch: the tile's canonical launch
+        chain, graph-cached by ``(device, cluster, config, preset, path,
+        shard, tile)`` so identical tiles replay regardless of their
+        composition."""
+        with force_mha_path(level.mha_path):
+            return estimate_model_tiled(
+                ctx, self.config, self.opt, tile, max_seq_len,
+                shard=self.shard, cache=self.graph_cache,
+            )
 
     def estimate_service_rate(self, max_seq_len: int) -> float:
         """Modelled drain capacity in sequence tokens per simulated µs.
@@ -198,9 +234,8 @@ class ServingRuntime:
             tile = max(self.batcher.effective_tiles())
         else:
             tile = max(64, min(512, max_seq_len))
-        planner = self.planner
-        service = planner.price_tile(
-            planner.new_ctx(), tile, max_seq_len, self.ladder.levels[0]
+        service = self._price_tile(
+            self._new_ctx(), tile, max_seq_len, self.ladder.levels[0]
         )
         # data-parallel replicas drain independently: aggregate capacity
         # scales with the lane count (tp groups are one lane — their
@@ -209,7 +244,7 @@ class ServingRuntime:
 
     def run(self, trace: ServingTrace) -> ServingReport:
         """Chaos-replay ``trace``; every request gets exactly one outcome."""
-        return ServingLoop(self).run(trace)
+        return ServingLoop(self).run(trace, _EncoderPlanner(self))
 
 
 @dataclass
@@ -245,50 +280,9 @@ class _EncoderPlanner:
 
     def __init__(self, runtime: ServingRuntime) -> None:
         self.rt = runtime
-        self._executor = BucketExecutor(runtime.workers)
-        self._single_estimates: dict[int, float] = {}
         self.replicas = runtime.replicas
-        self._router = ShardRouter(runtime.replicas)
+        self.new_ctx = runtime._new_ctx
         self.steals = 0
-
-    def new_ctx(self) -> ExecutionContext:
-        """A pricing context on this runtime's device and interconnect."""
-        return ExecutionContext(self.rt.device, cluster=self.rt.cluster)
-
-    # ------------------------------------------------------------------
-    # pricing helpers (cost plane)
-
-    def _price(
-        self,
-        ctx: ExecutionContext,
-        seq_lens: np.ndarray,
-        padded_len: int,
-        level: DegradationLevel,
-    ) -> float:
-        rt = self.rt
-        with force_mha_path(level.mha_path):
-            return estimate_model_graphed(
-                ctx, rt.config, rt.opt, seq_lens, padded_len,
-                shard=rt.shard, cache=rt.graph_cache,
-            )
-
-    def price_tile(
-        self,
-        ctx: ExecutionContext,
-        tile: int,
-        max_seq_len: int,
-        level: DegradationLevel,
-    ) -> float:
-        """Price a continuous megabatch: the tile's canonical launch
-        chain, graph-cached by ``(device, cluster, config, preset, path,
-        shard, tile)`` so identical tiles replay regardless of their
-        composition."""
-        rt = self.rt
-        with force_mha_path(level.mha_path):
-            return estimate_model_tiled(
-                ctx, rt.config, rt.opt, tile, max_seq_len,
-                shard=rt.shard, cache=rt.graph_cache,
-            )
 
     def _price_group(
         self,
@@ -300,11 +294,12 @@ class _EncoderPlanner:
         """Modelled service of ``requests`` at ``level`` — as one
         megabatch ``tile``, or as one padded batch — and the token
         capacity it is priced at."""
+        rt = self.rt
         if tile is not None:
-            return self.price_tile(ctx, tile, self.max_seq_len, level), tile
+            return rt._price_tile(ctx, tile, self.max_seq_len, level), tile
         dispatch = Dispatch(requests=tuple(requests), ready_us=0.0)
         padded = dispatch_padded_len(dispatch, self.max_seq_len)
-        service = self._price(ctx, dispatch.seq_lens, padded, level)
+        service = rt._price(ctx, dispatch.seq_lens, padded, level)
         return service, len(requests) * padded
 
     def admission_estimate_us(
@@ -313,16 +308,17 @@ class _EncoderPlanner:
         """Cached one-request service estimate at the top level; the
         replicas drain the backlog in parallel, so each admitted request
         commits 1/replicas of it."""
-        cached = self._single_estimates.get(request.seq_len)
+        rt = self.rt
+        cached = rt._single_estimates.get(request.seq_len)
         if cached is None:
-            cached = self._price(
-                self.new_ctx(),
+            cached = rt._price(
+                rt._new_ctx(),
                 np.asarray([request.seq_len], dtype=np.int64),
                 min(max_seq_len, request.seq_len),
-                self.rt.ladder.levels[0],
+                rt.ladder.levels[0],
             )
-            self._single_estimates[request.seq_len] = cached
-        return cached / self.rt.replicas
+            rt._single_estimates[request.seq_len] = cached
+        return cached / rt.replicas
 
     # ------------------------------------------------------------------
     # numeric plane
@@ -359,7 +355,7 @@ class _EncoderPlanner:
         whole computation — identity under exact presets, the
         conservative fallback under ``fast-gelu``.
         """
-        numerics = self.rt.numerics
+        numerics, executor = self.rt.numerics, self.rt._executor
         pin_gelu = (
             force_gelu_variant("exact")
             if level.exact_gelu
@@ -378,7 +374,7 @@ class _EncoderPlanner:
                 self.max_seq_len,
                 tile,
             )
-            with pin_gelu, use_executor(self._executor):
+            with pin_gelu, use_executor(executor):
                 out_tile = numerics.forward_packed(
                     x_tile, mega, ctx=NullContext()
                 )
@@ -389,8 +385,8 @@ class _EncoderPlanner:
             numerics.forward(*self._request_input(r))[0]
         )
         with pin_gelu:
-            if self._executor.workers > 1 and numerics.arena is None:
-                return self._executor.map(forward, requests)
+            if executor.workers > 1 and numerics.arena is None:
+                return executor.map(forward, requests)
             return [forward(r) for r in requests]
 
     # ------------------------------------------------------------------
@@ -430,7 +426,7 @@ class _EncoderPlanner:
         # is Σlen²-routed across the replicas on its own
         for qos in (QosClass.LATENCY_SLO, QosClass.THROUGHPUT_BATCH, None):
             for dev, bucket in enumerate(
-                self._router.route(by_class.get(qos, []))
+                rt._router.route(by_class.get(qos, []))
             ):
                 if not bucket:
                     continue
