@@ -683,7 +683,9 @@ class _DecodePlanner:
 
         for i, (rid, _) in enumerate(rows):
             state = states[rid]
-            state.tokens.append(out[i] if out is not None else np.zeros(hidden))
+            state.tokens.append(
+                out[i] if out is not None else np.zeros(hidden)
+            )
             state.token_times.append(finish)
             state.retries += attempt
             self.generated += 1

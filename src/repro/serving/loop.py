@@ -440,7 +440,9 @@ class ServingLoop:
         per_token: list[float] = []
         if token_times:
             gateway_wait = request.arrival_us - orig.arrival_us
-            per_token.append(token_times[0] - request.arrival_us + gateway_wait)
+            per_token.append(
+                token_times[0] - request.arrival_us + gateway_wait
+            )
             per_token.extend(
                 b - a for a, b in zip(token_times, token_times[1:])
             )

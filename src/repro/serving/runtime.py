@@ -408,7 +408,6 @@ class _EncoderPlanner:
         self.loop = loop
         self.max_seq_len = trace.max_seq_len
         self.outputs: dict[int, np.ndarray] = {}
-        self.steals = 0
         self.batch_id = -1
         #: (qos, home device, pending dispatches) in replay-priority
         #: order; qos is None on the single-tenant path.  Each entry is
@@ -541,7 +540,9 @@ class _EncoderPlanner:
             # this attempt covers only the still-affected segments —
             # re-quantized, usually onto a smaller (still graph-cached)
             # tile
-            unit.tile = retile(unit.tokens, self.rt.batcher, unit.dispatch.tile)
+            unit.tile = retile(
+                unit.tokens, self.rt.batcher, unit.dispatch.tile
+            )
         service, unit.capacity = self._price_group(
             ctx, unit.alive, level, unit.tile
         )

@@ -14,11 +14,15 @@ from repro.serving.generation import (
     generate_reference_outputs,
 )
 from repro.serving.report import Outcome, REASON_ADMISSION
-from repro.telemetry import Telemetry
+from repro.serving.runtime import ServingRuntime
+from repro.telemetry import Histogram, Telemetry
 from repro.telemetry.slo import (
     DECODE_TOKENS_TOTAL,
+    GATEWAY_REJECTED_TOTAL,
+    GATEWAY_RELEASE_WAIT_US,
     KV_BYTES_PEAK,
     KV_EVICTIONS_TOTAL,
+    TENANT_REQUESTS_TOTAL,
 )
 from repro.workloads.serving import (
     GenerationRequest,
@@ -342,3 +346,122 @@ class TestNumericWeights:
         assert runtime.weights.qkv_weight.dtype == np.float32
         assert len(report.served) == trace.num_requests
         assert_served_bitwise(runtime, trace, report)
+
+
+def tenant_gen_trace():
+    """Two tenants: a deadline-carrying chat tenant and a rate-limited,
+    queue-bounded bulk tenant, arriving fast enough to reject and shed."""
+    base = gen_trace(n=24, mean_interarrival_us=8.0, seed=6)
+    return ServingTrace(
+        requests=tuple(
+            GenerationRequest(
+                request_id=r.request_id,
+                arrival_us=r.arrival_us,
+                seq_len=r.seq_len,
+                deadline_us=150.0 if r.request_id % 2 == 0 else None,
+                tenant="chat" if r.request_id % 2 == 0 else "bulk",
+                decode_tokens=r.decode_tokens,
+            )
+            for r in base.requests
+        ),
+        max_seq_len=base.max_seq_len,
+    )
+
+
+def two_tenant_gateway():
+    return AdmissionGateway(
+        [
+            TenantPolicy("chat", qos=QosClass.LATENCY_SLO, slo_target=0.9),
+            TenantPolicy(
+                "bulk",
+                qos=QosClass.THROUGHPUT_BATCH,
+                rate_tokens_per_s=400_000.0,
+                burst_tokens=96,
+                max_queue_tokens=96,
+            ),
+        ],
+        service_rate_tokens_per_us=0.5,
+    )
+
+
+def gateway_view(tel):
+    """The gateway's metric series and instants of one observed run."""
+    series = {
+        (m.name, m.labels): (
+            (m.count, m.sum) if isinstance(m, Histogram) else m.value
+        )
+        for m in tel.metrics.collect()
+        if m.name.startswith("gateway_")
+    }
+    instants = [
+        (s.name, s.start_us, s.request_id, dict(s.attrs))
+        for s in tel.tracer.spans
+        if s.category == "gateway"
+    ]
+    return series, instants
+
+
+class TestSharedTelemetry:
+    """Decode runs record the serving loop's telemetry: the gateway
+    front end and the settlement ledger are the encoder's."""
+
+    def test_gateway_series_match_an_encoder_run(self):
+        trace = tenant_gen_trace()
+        views = []
+        for runtime in (
+            GenerationRuntime(
+                CFG, seed=0, compute_outputs=False,
+                gateway=two_tenant_gateway(), telemetry=Telemetry(),
+            ),
+            ServingRuntime(
+                CFG, gateway=two_tenant_gateway(), seed=0,
+                telemetry=Telemetry(),
+            ),
+        ):
+            runtime.run(trace)
+            views.append(gateway_view(runtime.telemetry))
+        decode, encoder = views
+        assert decode == encoder
+        series, instants = decode
+        assert {name for name, _ in series} >= {
+            GATEWAY_REJECTED_TOTAL, GATEWAY_RELEASE_WAIT_US,
+        }
+        assert {name for name, *_ in instants} == {
+            "gateway.reject", "gateway.shed",
+        }
+
+    def test_tenant_request_totals_equal_report_counts(self):
+        tel = Telemetry()
+        report = GenerationRuntime(
+            CFG, seed=0, compute_outputs=False,
+            gateway=two_tenant_gateway(), telemetry=tel,
+        ).run(tenant_gen_trace())
+        for tenant in ("chat", "bulk"):
+            settled = report.by_tenant(tenant)
+            assert settled
+            for outcome in Outcome:
+                metric = tel.metrics.find(
+                    TENANT_REQUESTS_TOTAL,
+                    tenant=tenant,
+                    outcome=outcome.value,
+                )
+                recorded = 0 if metric is None else metric.value
+                assert recorded == sum(
+                    o.outcome is outcome for o in settled
+                )
+
+    def test_rounds_stay_undecomposed_for_critical_path(self):
+        from repro.observe import CriticalPathReport
+
+        tel = Telemetry()
+        GenerationRuntime(
+            CFG, seed=0, compute_outputs=False, telemetry=tel,
+            faults=FaultSpec(
+                launch_failure_rate=0.2, target_prefixes=("paged_decode",)
+            ),
+        ).run(gen_trace())
+        names = {s.name for s in tel.tracer.completed()}
+        assert {"round", "attempt", "request"} <= names
+        assert tel.tracer.depth == 0
+        paths = CriticalPathReport.from_telemetry(tel).requests
+        assert paths and not any(p.decomposed for p in paths)

@@ -6,7 +6,8 @@ it — identical outcome logs, identical modelled timeline, identical
 injected-fault sequence, and (on the numeric plane) bit-identical served
 outputs.  Checked over the length-distribution matrix the vectorized
 engine is gated on, including seeded-chaos runs with retries, deadlines
-and degradation.
+and degradation, and for decode serving with and without faults and
+KV evictions (token times and KV statistics too).
 """
 
 import numpy as np
@@ -20,10 +21,11 @@ from repro.serving import (
     NO_FAULTS,
     ServingRuntime,
 )
+from repro.serving.generation import GenerationRuntime
 from repro.telemetry import Telemetry
 from repro.workloads.batching import ContinuousBatcher, TimeoutBatcher
 from repro.workloads.generator import LengthDistribution
-from repro.workloads.serving import make_trace
+from repro.workloads.serving import make_generation_trace, make_trace
 
 CONFIG = BertConfig(num_heads=4, head_size=16, num_layers=2)
 CHAOS = FaultSpec(
@@ -199,3 +201,62 @@ def test_telemetry_actually_observed_something():
         <= names
     assert tel.kernel_event_count() > 0
     assert len(tel.metrics) > 0
+
+
+# ----------------------------------------------------------------------
+# decode serving: the same loop, the same contract
+
+
+DECODE_CHAOS = FaultSpec(
+    launch_failure_rate=0.1,
+    transient_oom_rate=0.1,
+    target_prefixes=("paged_decode",),
+)
+
+
+@pytest.mark.parametrize(
+    "faults", [NO_FAULTS, DECODE_CHAOS], ids=["clean", "chaos"]
+)
+@pytest.mark.parametrize(
+    "kv_capacity_tokens", [None, 128], ids=["roomy", "tight"]
+)
+def test_decode_replay_neutral(faults, kv_capacity_tokens):
+    trace = make_generation_trace(
+        12, 64, decode_tokens=6, mean_interarrival_us=30.0, seed=3,
+        deadline_us=2_000.0,
+    )
+
+    def replay(telemetry):
+        return GenerationRuntime(
+            CONFIG,
+            ladder=DegradationLadder(
+                trip_threshold=2, window_us=20_000.0, cooldown_us=15_000.0
+            ),
+            faults=faults,
+            seed=11,
+            kv_capacity_tokens=kv_capacity_tokens,
+            telemetry=telemetry,
+        ).run(trace)
+
+    tel = Telemetry()
+    off, on = replay(None), replay(tel)
+    assert on.outcome_log() == off.outcome_log()
+    assert on.outcomes == off.outcomes
+    assert on.token_times == off.token_times
+    assert on.kv_stats == off.kv_stats
+    assert on.injected_faults == off.injected_faults
+    assert on.transitions == off.transitions
+    assert on.gpu_busy_us == off.gpu_busy_us
+    assert on.makespan_us == off.makespan_us
+    assert set(on.outputs) == set(off.outputs)
+    for rid in off.outputs:
+        assert np.array_equal(on.outputs[rid], off.outputs[rid])
+    # the telemetry-on replay really observed the rounds
+    assert tel.tracer.depth == 0
+    assert {"request", "round", "attempt"} <= {
+        s.name for s in tel.tracer.completed()
+    }
+    if faults is DECODE_CHAOS:
+        assert on.injected_faults
+    if kv_capacity_tokens is not None:
+        assert on.kv_stats["evictions"] > 0
