@@ -176,14 +176,6 @@ class ServingLoop:
     # ------------------------------------------------------------------
     # admission front end
 
-    def level_for(self, qos: QosClass | None):
-        """Rung a unit of the given class is priced/served at:
-        latency-SLO units are pinned to the top rung; batch (and
-        single-tenant) units ride the ladder."""
-        if qos is QosClass.LATENCY_SLO:
-            return self.ladder.levels[0]
-        return self.ladder.level
-
     def _admit(self, trace, planner) -> list:
         """Settle what the front end turns away; return the rest, in
         admission order (gateway-admitted ones re-anchored to their
@@ -290,6 +282,14 @@ class ServingLoop:
 
     # ------------------------------------------------------------------
     # one dispatch or round, with retries
+
+    def level_for(self, qos: QosClass | None):
+        """Rung a unit of the given class is priced/served at:
+        latency-SLO units are pinned to the top rung; batch (and
+        single-tenant) units ride the ladder."""
+        if qos is QosClass.LATENCY_SLO:
+            return self.ladder.levels[0]
+        return self.ladder.level
 
     def _serve(self, unit, planner) -> None:
         ladder, tel = self.ladder, self.tel
