@@ -339,14 +339,17 @@ class _RoundUnit:
     decode_ids: list[int]
     decode_contexts: list[int]
     ready_us: float
-    #: planned tokens of the round (at least 1)
-    tokens: int
     device: int = 0
     qos: None = None
 
     @property
     def size(self) -> int:
         return len(self.prefills) + len(self.decode_ids)
+
+    @property
+    def tokens(self) -> int:
+        """Planned tokens of the round (at least 1)."""
+        return max(1, self.round_.total_tokens)
 
 
 class _DecodePlanner:
@@ -575,7 +578,6 @@ class _DecodePlanner:
                     arena.context_len(rid) + 1 for rid in decode_ids
                 ],
                 ready_us=self.now,
-                tokens=max(1, round_.total_tokens),
             )
         return None
 
