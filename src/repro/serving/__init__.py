@@ -7,10 +7,12 @@ exponential backoff on the simulated clock (:mod:`~repro.serving.retry`),
 deadline shedding and high-water-mark admission control
 (:mod:`~repro.serving.admission`), a multi-tenant admission gateway with
 QoS classes, weighted-fair sharing and overload protection
-(:mod:`~repro.serving.gateway`), graceful engine degradation
+(:mod:`~repro.serving.gateway`), graceful degradation
 (:mod:`~repro.serving.degradation`), and per-request outcome accounting
-(:mod:`~repro.serving.report`), all orchestrated by
-:class:`~repro.serving.runtime.ServingRuntime`.
+(:mod:`~repro.serving.report`), all driven by the one serving loop
+(:mod:`~repro.serving.loop`) that
+:class:`~repro.serving.runtime.ServingRuntime` and
+:class:`~repro.serving.generation.GenerationRuntime` share.
 """
 
 from repro.serving.admission import AdmissionController
