@@ -206,17 +206,22 @@ def attend_to_cache(
     """Single-token attention of ``q_row [H]`` over ``[len, H]`` K/V.
 
     The per-head math every decode path in this repo shares — the looped
-    per-request oracle, the batched serving path reading through paged
-    block tables, and :func:`decode_self_attention_step` all call this
-    with K/V gathered into the same contiguous ``[len, H]`` layout, so
-    their outputs are *bitwise* identical by construction.
+    per-request oracle, the batched serving path reading the paged
+    arena's contiguous mirrors, and :func:`decode_self_attention_step`
+    all call this with K/V in the same contiguous ``[len, H]`` layout,
+    so their outputs are *bitwise* identical by construction.
 
-    The score and ``probs @ v`` products stay one matmul per head (their
-    BLAS reduction order is the contract); the scores of all heads land
-    in one ``[heads, len]`` array and take a single row softmax.  That
-    is elementwise work along each row, so each head's probabilities
-    are the bits a per-head softmax call would give — one call per
-    decode token instead of one per head.
+    Two batched matmuls cover every head: the scores as
+    ``k3.transpose(1, 0, 2) @ qh[:, :, None]`` and the output as
+    ``probs[:, None, :] @ v3.transpose(1, 0, 2)``.  numpy computes each
+    head of a stacked matrix-vector product with the same BLAS gemv
+    call, on the same strided operand, that it makes for that head
+    alone, so each head's bits are those of its own ``k3[:, h] @ qh[h]``
+    and ``probs[h] @ v3[:, h]`` — two matmul calls per decode token
+    instead of two per head.  The scores of all heads take a single row
+    softmax over ``[heads, len]``: elementwise work along each row, so
+    each head's probabilities are the bits a per-head softmax call
+    would give.
     """
     hidden = q_row.shape[0]
     if hidden % num_heads != 0:
@@ -226,16 +231,9 @@ def attend_to_cache(
     k3 = keys.reshape(-1, num_heads, head_size)
     v3 = values.reshape(-1, num_heads, head_size)
     qh = q_row.reshape(num_heads, head_size)
-    scores = np.empty(
-        (num_heads, k3.shape[0]), dtype=np.result_type(q_row, keys)
-    )
-    for h in range(num_heads):
-        scores[h] = (k3[:, h] @ qh[h]) * scale
+    scores = (k3.transpose(1, 0, 2) @ qh[:, :, None])[:, :, 0] * scale
     probs = softmax_reference(scores)
-    out = np.empty_like(q_row)
-    for h in range(num_heads):
-        out[h * head_size : (h + 1) * head_size] = probs[h] @ v3[:, h]
-    return out
+    return (probs[:, None, :] @ v3.transpose(1, 0, 2)).reshape(hidden)
 
 
 # ----------------------------------------------------------------------

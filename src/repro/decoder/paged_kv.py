@@ -24,13 +24,23 @@ Contract highlights:
   letting numpy cast them on every call — the same dgemm on the same
   float64 operands, hence the same bits;
 * :meth:`append_rows` raises :class:`KVPressureError` instead of
-  over-allocating when the pool is exhausted — the runtime's cue to
-  swap out a victim (:meth:`swap_out`) and resume it later from the
-  host copy (:meth:`swap_in`), bit for bit;
-* :meth:`gathered` reconstructs a request's contiguous ``[len, H]``
-  K/V exactly as :meth:`PackedKVCache.keys`/``values`` would — the
-  property that keeps batched paged decode bitwise equal to the looped
-  per-request oracle.
+  over-allocating when the pool is exhausted — before it mutates
+  anything — which is the runtime's cue to swap out a victim
+  (:meth:`swap_out`) and resume it later from the host copy
+  (:meth:`swap_in`), bit for bit;
+* besides its blocks, every request appended through :meth:`append_rows`
+  keeps a contiguous float64 host *mirror* of its K and V (``[cap, H]``
+  each, grown in place by capacity doubling).  :meth:`gathered` returns
+  zero-copy ``[len, H]`` views of it — bitwise the rows that went in,
+  in order, exactly what :meth:`PackedKVCache.keys`/``values`` stack for
+  the oracle — so a decode step reads its context without regathering
+  it from the blocks.  The pool stays the authoritative, modelled
+  store: :meth:`swap_out` copies the host copy out of the blocks, drops
+  the mirror, and :meth:`swap_in` rebuilds it through
+  :meth:`append_rows`;
+* :meth:`append_lengths` is the cost plane's append: the same block
+  bookkeeping and pressure check on a row count alone, with no rows
+  written and no mirror built.
 """
 
 from __future__ import annotations
@@ -90,8 +100,11 @@ class PagedKVArena:
         self._free: list[int] = list(range(self.num_blocks - 1, -1, -1))
         self._tables: dict[int, list[int]] = {}
         self._lengths: dict[int, int] = {}
-        #: host copies of swapped-out requests: ``rid -> [len, 2, H]``
-        self._swapped: dict[int, np.ndarray] = {}
+        #: swapped-out requests: ``rid -> (len, [len, 2, H] host copy)``;
+        #: a length-only request keeps no copy (``None``)
+        self._swapped: dict[int, tuple[int, np.ndarray | None]] = {}
+        #: contiguous host mirrors: ``rid -> ([cap, H] K, [cap, H] V)``
+        self._mirrors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.evictions = 0
         self.swap_ins = 0
         self.peak_live_blocks = 0
@@ -175,22 +188,18 @@ class PagedKVArena:
             raise KeyError(f"request {rid} holds no KV blocks")
         return tuple(self._tables[rid])
 
-    def append_rows(
-        self, rid: int, k_rows: np.ndarray, v_rows: np.ndarray
-    ) -> None:
-        """Append ``[n, H]`` key/value rows to ``rid``'s paged history."""
-        if k_rows.ndim != 2 or k_rows.shape[1] != self.hidden:
-            raise ValueError(
-                f"expected [n, {self.hidden}] key rows, got {k_rows.shape}"
-            )
-        if v_rows.shape != k_rows.shape:
-            raise ValueError("key and value rows must match")
+    def _claim(self, rid: int, count: int) -> int:
+        """Block bookkeeping for appending ``count`` tokens to ``rid``.
+
+        Checks pressure before it touches anything, then claims the
+        blocks and advances the length.  Returns the length before the
+        append.
+        """
         if rid in self._swapped:
             raise KVPressureError(
                 f"request {rid} is swapped out; swap_in before appending"
             )
-        n = k_rows.shape[0]
-        grab = self.blocks_needed(rid, n)
+        grab = self.blocks_needed(rid, count)
         if grab > len(self._free):
             raise KVPressureError(
                 f"request {rid} needs {grab} KV blocks, only "
@@ -201,56 +210,119 @@ class PagedKVArena:
         for _ in range(grab):
             table.append(self._free.pop())
         self.peak_live_blocks = max(self.peak_live_blocks, self.live_blocks)
-        for i in range(n):
-            blk = table[(length + i) // self.block_tokens]
-            slot = (length + i) % self.block_tokens
-            self._pool[blk, slot, 0] = k_rows[i]
-            self._pool[blk, slot, 1] = v_rows[i]
-        self._lengths[rid] = length + n
+        self._lengths[rid] = length + count
+        return length
+
+    def append_rows(
+        self, rid: int, k_rows: np.ndarray, v_rows: np.ndarray
+    ) -> None:
+        """Append ``[n, H]`` key/value rows to ``rid``'s paged history
+        and to its contiguous mirror."""
+        if k_rows.ndim != 2 or k_rows.shape[1] != self.hidden:
+            raise ValueError(
+                f"expected [n, {self.hidden}] key rows, got {k_rows.shape}"
+            )
+        if v_rows.shape != k_rows.shape:
+            raise ValueError("key and value rows must match")
+        if rid in self._tables and rid not in self._mirrors:
+            raise ValueError(
+                f"request {rid} holds KV lengths only; it takes append_tokens"
+            )
+        n = k_rows.shape[0]
+        length = self._claim(rid, n)
+        # the pool: one slice copy per block the rows land in
+        table, block = self._tables[rid], self.block_tokens
+        done = 0
+        while done < n:
+            pos = length + done
+            blk, slot = table[pos // block], pos % block
+            take = min(block - slot, n - done)
+            self._pool[blk, slot : slot + take, 0] = k_rows[done : done + take]
+            self._pool[blk, slot : slot + take, 1] = v_rows[done : done + take]
+            done += take
+        # the mirror: grown by capacity doubling, then appended in place
+        mirror = self._mirrors.get(rid)
+        need = length + n
+        if mirror is None or mirror[0].shape[0] < need:
+            cap = need if mirror is None else max(need, 2 * mirror[0].shape[0])
+            grown = (
+                np.empty((cap, self.hidden), self.dtype),
+                np.empty((cap, self.hidden), self.dtype),
+            )
+            if mirror is not None:
+                grown[0][:length] = mirror[0][:length]
+                grown[1][:length] = mirror[1][:length]
+            self._mirrors[rid] = mirror = grown
+        mirror[0][length:need] = k_rows
+        mirror[1][length:need] = v_rows
+
+    def append_tokens(self, rid: int, count: int) -> None:
+        """Account ``count`` more tokens to ``rid`` without their rows.
+
+        The cost plane's append: the block bookkeeping and pressure
+        check of :meth:`append_rows`, but no row is written and no
+        mirror is built, so the request can never be :meth:`gathered`.
+        """
+        if rid in self._mirrors:
+            raise ValueError(
+                f"request {rid} holds K/V rows; it takes append_rows"
+            )
+        self._claim(rid, count)
 
     def gathered(self, rid: int) -> tuple[np.ndarray, np.ndarray]:
         """``rid``'s contiguous ``([len, H], [len, H])`` keys and values.
 
-        The gather copies block views into fresh C-contiguous arrays —
-        bitwise the rows that went in, in order, exactly what
-        :meth:`PackedKVCache.keys`/``values`` stack for the oracle.
+        Zero-copy, read-only views of the request's mirror — bitwise
+        the rows that went in, in order, exactly what
+        :meth:`PackedKVCache.keys`/``values`` stack for the oracle.  A
+        later append writes past ``len`` (or into a grown copy), so a
+        view taken now keeps its rows.
         """
         length = self.context_len(rid)
-        table = self._tables[rid]
-        k_parts: list[np.ndarray] = []
-        v_parts: list[np.ndarray] = []
-        remaining = length
-        for blk in table:
-            take = min(remaining, self.block_tokens)
-            k_parts.append(self._pool[blk, :take, 0])
-            v_parts.append(self._pool[blk, :take, 1])
-            remaining -= take
-            if remaining <= 0:
-                break
-        return np.concatenate(k_parts), np.concatenate(v_parts)
+        mirror = self._mirrors.get(rid)
+        if mirror is None:
+            raise ValueError(f"request {rid} holds KV lengths only")
+        keys, values = mirror[0][:length], mirror[1][:length]
+        keys.flags.writeable = False
+        values.flags.writeable = False
+        return keys, values
+
+    def _walk(self, rid: int) -> np.ndarray:
+        """``rid``'s ``[len, 2, H]`` K/V copied out of its pool blocks."""
+        length = self.context_len(rid)
+        out = np.empty((length, 2, self.hidden), self.dtype)
+        # a table holds exactly the blocks its length needs
+        for i, blk in enumerate(self._tables[rid]):
+            lo = i * self.block_tokens
+            take = min(length - lo, self.block_tokens)
+            out[lo : lo + take] = self._pool[blk, :take]
+        return out
 
     def free(self, rid: int) -> None:
         """Return ``rid``'s blocks to the pool (request finished)."""
+        self._mirrors.pop(rid, None)
+        self._lengths.pop(rid, None)
         table = self._tables.pop(rid, None)
         if table is None:
             self._swapped.pop(rid, None)
-            self._lengths.pop(rid, None)
             return
         self._free.extend(reversed(table))
-        self._lengths.pop(rid, None)
 
     # -- eviction / preemption -----------------------------------------
 
     def swap_out(self, rid: int) -> int:
         """Evict ``rid`` to a host copy; returns the tokens swapped.
 
-        The request's blocks return to the pool; its K/V survive in a
-        host-side buffer so :meth:`swap_in` restores them bit for bit —
-        a preempted request resumes from its KV, never recomputes it.
+        The request's blocks return to the pool and its mirror is
+        dropped; its K/V survive in a host-side copy taken from the
+        blocks, so :meth:`swap_in` restores them bit for bit — a
+        preempted request resumes from its KV, never recomputes it.  A
+        length-only request keeps its length alone.
         """
         length = self.context_len(rid)
-        keys, values = self.gathered(rid)
-        self._swapped[rid] = np.stack([keys, values], axis=1)  # [len, 2, H]
+        rows = self._mirrors.pop(rid, None) is not None
+        host = self._walk(rid) if rows else None
+        self._swapped[rid] = (length, host)
         table = self._tables.pop(rid)
         self._free.extend(reversed(table))
         self._lengths.pop(rid)
@@ -258,17 +330,22 @@ class PagedKVArena:
         return length
 
     def swap_in(self, rid: int) -> int:
-        """Restore a swapped-out request into fresh blocks."""
-        host = self._swapped.get(rid)
-        if host is None:
+        """Restore a swapped-out request into fresh blocks (and, for a
+        request with rows, a fresh mirror)."""
+        entry = self._swapped.get(rid)
+        if entry is None:
             raise KeyError(f"request {rid} is not swapped out")
-        need = -(-host.shape[0] // self.block_tokens)
+        length, host = entry
+        need = -(-length // self.block_tokens)
         if need > len(self._free):
             raise KVPressureError(
                 f"swap_in of request {rid} needs {need} blocks, only "
                 f"{len(self._free)} free"
             )
         del self._swapped[rid]
-        self.append_rows(rid, host[:, 0], host[:, 1])
+        if host is None:
+            self.append_tokens(rid, length)
+        else:
+            self.append_rows(rid, host[:, 0], host[:, 1])
         self.swap_ins += 1
-        return host.shape[0]
+        return length

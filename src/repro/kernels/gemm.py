@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.memory_planner import KERNEL_SCRATCH
 from repro.gpusim.kernel import ComputeUnit, KernelLaunch
 from repro.gpusim.memory import BYTES_PER_ELEMENT, tensor_bytes
-from repro.gpusim.stream import ExecutionContext, resolve_context
+from repro.gpusim.stream import ExecutionContext, NullContext, resolve_context
 from repro.kernels.activation import apply_gelu
 
 #: sustained fraction of tensor-core peak for a large, well-shaped GEMM
@@ -129,7 +129,9 @@ def gemm(
     :data:`~repro.core.memory_planner.KERNEL_SCRATCH`, so the allocating
     form still performs exactly one tensor allocation.  ``gelu_variant``
     picks the host formula (``"exact"``/``"tanh"``); the launch
-    descriptor and modelled time are identical for both.
+    descriptor and modelled time are identical for both.  Under a
+    :class:`~repro.gpusim.stream.NullContext`, which prices nothing, no
+    launch descriptor is built at all.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(
@@ -145,6 +147,9 @@ def gemm(
         raise ValueError(f"bias shape {bias.shape} != ({n},)")
     if activation not in (None, "gelu"):
         raise ValueError(f"unsupported activation {activation!r}")
+    if min(m, n, k) <= 0:
+        # gemm_launch's check, kept for contexts that build no launch
+        raise ValueError(f"GEMM dims must be positive, got {(m, n, k)}")
     # BLAS dispatches an M=1 matmul to its gemv kernel, whose reduction
     # order differs from the row results every M >= 2 operand gets from
     # the gemm kernel — breaking the row-wise bitwise contract packed
@@ -179,7 +184,10 @@ def gemm(
     if bias is not None:
         epilogue_bytes += tensor_bytes(n)
 
-    resolve_context(ctx).launch(
+    ctx = resolve_context(ctx)
+    if isinstance(ctx, NullContext):
+        return out
+    ctx.launch(
         gemm_launch(
             m,
             n,

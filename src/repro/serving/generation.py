@@ -18,12 +18,12 @@ modelled batched chain at the ladder's current rung (``batched`` paged
 varlen or the ``looped`` per-request fallback), and injected faults
 strike that chain.  Generated tokens live on the *numeric plane*: every
 round commits one packed QKV GEMM over all its rows, per-request
-attention over KV gathered from the paged arena, and one packed output
-GEMM.  Row-stacked GEMMs are bitwise row-equal to per-request GEMMs
-(the M=1 pinning + row-split invariance contract in
-:mod:`repro.kernels.gemm`), and the arena gathers exactly the
-contiguous K/V layout the per-request cache holds — so every request's
-token stream is *bitwise* equal to the looped
+attention over the K/V the paged arena mirrors contiguously per
+request, and one packed output GEMM.  Row-stacked GEMMs are bitwise
+row-equal to per-request GEMMs (the M=1 pinning + row-split invariance
+contract in :mod:`repro.kernels.gemm`), and the arena's mirror holds
+exactly the contiguous K/V layout the per-request cache holds — so
+every request's token stream is *bitwise* equal to the looped
 :func:`~repro.decoder.generation.generate_cell_reference` oracle,
 however the scheduler interleaved, preempted or resumed it.  The chaos
 tests assert exactly that.
@@ -109,13 +109,14 @@ class _GenState:
 
     request: Request  # possibly gateway-re-anchored
     steps_total: int
+    #: generated hidden rows; the numeric plane only
     tokens: list[np.ndarray] = field(default_factory=list)
     token_times: list[float] = field(default_factory=list)
     retries: int = 0
 
     @property
     def done(self) -> bool:
-        return len(self.tokens) >= self.steps_total
+        return len(self.token_times) >= self.steps_total
 
 
 @dataclass(frozen=True)
@@ -511,7 +512,7 @@ class _DecodePlanner:
                 rid = self.paused[0]
                 state = states[rid]
                 need = self._blocks(
-                    state.request.seq_len + len(state.tokens) - 1
+                    state.request.seq_len + len(state.token_times) - 1
                 )
                 if need > arena.free_blocks:
                     break
@@ -639,10 +640,10 @@ class _DecodePlanner:
 
         # -- commit (numeric plane) ------------------------------------
         # One packed QKV GEMM over every row in the round, then
-        # per-request attention over arena-gathered K/V, then one packed
-        # output GEMM.  KV state mutates only here — a faulted attempt
-        # never touched it.  Prefills append their prompt rows, decode
-        # steps one row each.
+        # per-request attention over views of the arena's contiguous K/V
+        # mirrors, then one packed output GEMM.  KV state mutates only
+        # here — a faulted attempt never touched it.  Prefills append
+        # their prompt rows, decode steps one row each.
         rows = [(r.request_id, r.seq_len) for r in prefills]
         rows += [(rid, 1) for rid in decode_ids]
         out = None
@@ -679,15 +680,12 @@ class _DecodePlanner:
         else:
             # KV bookkeeping runs on lengths alone
             for rid, count in rows:
-                arena.append_rows(
-                    rid, np.zeros((count, hidden)), np.zeros((count, hidden))
-                )
+                arena.append_tokens(rid, count)
 
         for i, (rid, _) in enumerate(rows):
             state = states[rid]
-            state.tokens.append(
-                out[i] if out is not None else np.zeros(hidden)
-            )
+            if out is not None:
+                state.tokens.append(out[i])
             state.token_times.append(finish)
             state.retries += attempt
             self.generated += 1

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.decoder.generation import PackedKVCache
 from repro.decoder.paged_kv import (
     DEFAULT_KV_BLOCK_TOKENS,
     KVPressureError,
@@ -86,6 +89,20 @@ class TestGather:
             np.testing.assert_array_equal(keys, k[:3])
             np.testing.assert_array_equal(values, v[:3])
 
+    def test_gathered_views_the_mirror_without_copying(self, rng):
+        arena = PagedKVArena(HIDDEN, 64, block_tokens=8)
+        arena.append_rows(0, *rows(rng, 5))
+        keys, values = arena.gathered(0)
+        again, _ = arena.gathered(0)
+        assert np.shares_memory(keys, again)
+        assert not keys.flags.writeable and not values.flags.writeable
+        # a later append, even one that grows the mirror, leaves a view
+        # taken earlier holding its rows
+        before = keys.copy()
+        arena.append_rows(0, *rows(rng, 9))
+        np.testing.assert_array_equal(keys, before)
+        np.testing.assert_array_equal(arena.gathered(0)[0][:5], before)
+
     def test_unknown_request_raises(self):
         arena = PagedKVArena(HIDDEN, 64)
         with pytest.raises(KeyError, match="no KV blocks"):
@@ -146,6 +163,155 @@ class TestPressure:
         arena.free(0)  # finished while swapped out
         assert not arena.is_swapped(0)
         assert arena.free_blocks == arena.num_blocks
+
+
+class TestLengthOnly:
+    def test_books_blocks_like_append_rows(self, rng):
+        by_rows = PagedKVArena(HIDDEN, 64, block_tokens=8)
+        by_len = PagedKVArena(HIDDEN, 64, block_tokens=8)
+        for rid, n in ((0, 11), (1, 3), (0, 1), (1, 9)):
+            by_rows.append_rows(rid, *rows(rng, n))
+            by_len.append_tokens(rid, n)
+        for rid in (0, 1):
+            assert by_len.block_table(rid) == by_rows.block_table(rid)
+            assert by_len.context_len(rid) == by_rows.context_len(rid)
+        assert by_len.peak_live_blocks == by_rows.peak_live_blocks
+        assert by_len.occupancy == by_rows.occupancy
+
+    def test_builds_no_mirror_and_cannot_be_gathered(self):
+        arena = PagedKVArena(HIDDEN, 64, block_tokens=8)
+        arena.append_tokens(0, 10)
+        assert arena._mirrors == {}
+        with pytest.raises(ValueError, match="lengths only"):
+            arena.gathered(0)
+
+    def test_swap_round_trip_keeps_only_the_length(self):
+        arena = PagedKVArena(HIDDEN, 32, block_tokens=8)
+        arena.append_tokens(0, 13)
+        assert arena.swap_out(0) == 13
+        assert arena._swapped[0] == (13, None)
+        assert arena.swap_in(0) == 13
+        assert arena.context_len(0) == 13
+        assert arena._mirrors == {}
+
+    def test_pressure_raises_before_booking(self):
+        arena = PagedKVArena(HIDDEN, 16, block_tokens=8)
+        arena.append_tokens(0, 12)
+        with pytest.raises(KVPressureError, match="free"):
+            arena.append_tokens(0, 5)
+        assert arena.context_len(0) == 12
+        assert arena.block_table(0) == (0, 1)
+
+    def test_the_two_appends_do_not_mix(self, rng):
+        arena = PagedKVArena(HIDDEN, 64, block_tokens=8)
+        arena.append_tokens(0, 4)
+        arena.append_rows(1, *rows(rng, 4))
+        with pytest.raises(ValueError, match="append_tokens"):
+            arena.append_rows(0, *rows(rng, 1))
+        with pytest.raises(ValueError, match="append_rows"):
+            arena.append_tokens(1, 1)
+        assert arena.context_len(0) == arena.context_len(1) == 4
+
+
+#: one generated arena op: (kind, request id, rows to append)
+OPS = st.tuples(
+    st.sampled_from(("append", "append", "append", "swap_out", "swap_in", "free")),
+    st.integers(0, 3),
+    st.one_of(st.just(1), st.integers(2, 40)),
+)
+
+
+def arena_state(arena):
+    """Everything a refused append or swap-in must leave untouched:
+    lengths, tables, free stack, swapped set and the mirror bytes."""
+    return (
+        dict(arena._lengths),
+        {rid: tuple(t) for rid, t in arena._tables.items()},
+        list(arena._free),
+        sorted(arena._swapped),
+        {
+            rid: (id(k), id(v), k.view(np.uint8).copy(), v.view(np.uint8).copy())
+            for rid, (k, v) in arena._mirrors.items()
+        },
+    )
+
+
+def assert_same_state(before, after):
+    assert before[:4] == after[:4]
+    assert before[4].keys() == after[4].keys()
+    for rid, (kid, vid, kbytes, vbytes) in before[4].items():
+        assert after[4][rid][:2] == (kid, vid)
+        assert np.array_equal(after[4][rid][2], kbytes)
+        assert np.array_equal(after[4][rid][3], vbytes)
+
+
+class TestArenaProperty:
+    """Generated op sequences: after every op, each resident request's
+    gathered K/V equal the pool's own blocks and a ``PackedKVCache``
+    fed the same rows, bit for bit; a refused op changes nothing."""
+
+    @given(
+        block=st.sampled_from((1, 3, 8, 16)),
+        capacity=st.integers(16, 96),
+        ops=st.lists(OPS, min_size=1, max_size=30),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_ops_keep_mirror_pool_and_oracle_bitwise(
+        self, block, capacity, ops, seed
+    ):
+        rng = np.random.default_rng(seed)
+        arena = PagedKVArena(HIDDEN, capacity, block_tokens=block)
+        oracle: dict[int, PackedKVCache] = {}
+        for kind, rid, n in ops:
+            before = arena_state(arena)
+            if kind == "append":
+                if arena.is_swapped(rid):
+                    with pytest.raises(KVPressureError, match="swapped out"):
+                        arena.append_rows(rid, *rows(rng, n))
+                    assert_same_state(before, arena_state(arena))
+                    continue
+                k, v = rows(rng, n)
+                try:
+                    arena.append_rows(rid, k, v)
+                except KVPressureError:
+                    assert arena.blocks_needed(rid, n) > arena.free_blocks
+                    assert_same_state(before, arena_state(arena))
+                    continue
+                cache = oracle.setdefault(rid, PackedKVCache(1, HIDDEN))
+                for i in range(n):
+                    cache.append(k[i : i + 1], v[i : i + 1])
+            elif kind == "swap_out":
+                if not arena.has(rid):
+                    continue
+                assert arena.swap_out(rid) == len(oracle[rid].keys(0))
+                assert not arena.has(rid) and rid not in arena._mirrors
+            elif kind == "swap_in":
+                if not arena.is_swapped(rid):
+                    continue
+                try:
+                    arena.swap_in(rid)
+                except KVPressureError:
+                    assert arena.is_swapped(rid)
+                    assert_same_state(before, arena_state(arena))
+                    continue
+            else:
+                arena.free(rid)
+                oracle.pop(rid, None)
+                assert not arena.has(rid) and not arena.is_swapped(rid)
+            for live in oracle:
+                if not arena.has(live):
+                    continue
+                keys, values = arena.gathered(live)
+                pool = arena._walk(live)
+                assert np.array_equal(keys, pool[:, 0])
+                assert np.array_equal(values, pool[:, 1])
+                assert np.array_equal(keys, oracle[live].keys(0))
+                assert np.array_equal(values, oracle[live].values(0))
+            assert arena.overflow_allocs == 0
+            assert arena.live_tokens == sum(
+                len(oracle[r].keys(0)) for r in oracle if arena.has(r)
+            )
 
 
 class TestAccounting:

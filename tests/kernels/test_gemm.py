@@ -1,11 +1,13 @@
 """Dense GEMM: numerics, epilogue fusion, cost-model properties."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import ExecutionContext
+from repro.gpusim import ExecutionContext, NullContext
 from repro.kernels.activation import gelu_reference
 from repro.kernels.gemm import (
     gemm,
@@ -136,6 +138,55 @@ class TestCostModel:
         tile = select_tile(128, 128)
         with pytest.raises(ValueError, match="positive"):
             gemm_efficiency(0, 128, 64, tile)
+
+
+def refuse_launches(monkeypatch):
+    """Make any launch descriptor ``gemm`` builds fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gemm built a launch for a NullContext")
+
+    # the package re-exports the function under the module's name
+    module = importlib.import_module("repro.kernels.gemm")
+    monkeypatch.setattr(module, "gemm_launch", refuse)
+
+
+class TestNullContext:
+    """A NullContext prices nothing, so gemm builds no launch for it."""
+
+    def test_builds_no_launch(self, rng, monkeypatch):
+        a, b, bias = rng.normal(size=(5, 8)), rng.normal(size=(8, 3)), rng.normal(size=3)
+        priced = {
+            m: gemm(a[:m], b, bias=bias, activation="gelu", ctx=ExecutionContext())
+            for m in (1, 5)
+        }
+        refuse_launches(monkeypatch)
+        for m, expected in priced.items():
+            out = gemm(a[:m], b, bias=bias, activation="gelu", ctx=NullContext())
+            np.testing.assert_array_equal(out, expected)
+        # no explicit and no current context resolves to a NullContext
+        np.testing.assert_array_equal(gemm(a, b), a @ b)
+
+    def test_still_rejects_bad_shapes(self, rng, monkeypatch):
+        refuse_launches(monkeypatch)
+        null = NullContext()
+        with pytest.raises(ValueError, match="inner dims"):
+            gemm(rng.normal(size=(4, 8)), rng.normal(size=(7, 3)), ctx=null)
+        with pytest.raises(ValueError, match="2-D"):
+            gemm(rng.normal(size=8), rng.normal(size=(8, 3)), ctx=null)
+        for m, k, n in ((0, 8, 3), (4, 0, 3), (4, 8, 0)):
+            with pytest.raises(ValueError, match="positive"):
+                gemm(np.ones((m, k)), np.ones((k, n)), ctx=null)
+
+    def test_real_context_records_the_same_launch(self, rng):
+        a, b, bias = rng.normal(size=(6, 8)), rng.normal(size=(8, 3)), rng.normal(size=3)
+        ctx = ExecutionContext()
+        gemm(a, b, bias=bias, ctx=ctx, name="qkv", category="decode_gemm")
+        (record,) = ctx.records
+        assert record.launch == gemm_launch(
+            6, 3, 8, name="qkv", category="decode_gemm",
+            epilogue_bytes=3 * 2,  # the bias vector, fp16
+        )
 
 
 class TestRowSliceBitwise:

@@ -1,5 +1,6 @@
 """Decode serving runtime: batched rounds bitwise-equal to the oracle."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.core.config import BertConfig
 from repro.decoder.generation import init_decode_cell
+from repro.decoder.paged_kv import PagedKVArena
 from repro.serving.faults import FaultSpec
 from repro.serving.gateway import AdmissionGateway, QosClass, TenantPolicy
 from repro.serving.generation import (
@@ -132,6 +134,50 @@ class TestKVPressure:
         assert report.kv_stats["overflow_allocs"] == 0
         assert len(report.served) == 10
         assert_served_bitwise(runtime, trace, report)
+
+    def test_cost_plane_books_lengths_without_rows(self, monkeypatch):
+        trace = gen_trace(n=10, mean_interarrival_us=5.0)
+        faults = FaultSpec(
+            launch_failure_rate=0.15,
+            transient_oom_rate=0.05,
+            target_prefixes=("paged_decode",),
+        )
+
+        def run(compute_outputs):
+            return GenerationRuntime(
+                CFG, seed=0, kv_capacity_tokens=128, faults=faults,
+                compute_outputs=compute_outputs,
+            ).run(trace)
+
+        numeric = run(True)
+        # every array the decode runtime or its arena builds on the cost
+        # plane, by shape
+        shapes = []
+        owners = {"repro.serving.generation", "repro.decoder.paged_kv"}
+
+        def recorded(make):
+            def wrapper(*args, **kwargs):
+                out = make(*args, **kwargs)
+                if sys._getframe(1).f_globals.get("__name__") in owners:
+                    shapes.append(np.shape(out))
+                return out
+
+            return wrapper
+
+        for name in ("zeros", "empty", "stack", "concatenate"):
+            monkeypatch.setattr(np, name, recorded(getattr(np, name)))
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("the cost plane appended K/V rows")
+
+        monkeypatch.setattr(PagedKVArena, "append_rows", no_rows)
+        cost = run(False)
+        monkeypatch.undo()
+        assert [s for s in shapes if CFG.hidden_size in s] == []
+        assert cost.kv_stats["evictions"] >= 1
+        assert cost.outcomes == numeric.outcomes
+        assert cost.token_times == numeric.token_times
+        assert cost.kv_stats == numeric.kv_stats
 
     def test_impossible_prompt_shed_at_admission(self):
         trace = ServingTrace(
