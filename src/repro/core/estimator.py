@@ -537,11 +537,11 @@ def estimate_model_tiled(
     cover all live traffic and steady-state pricing is pure
     :meth:`~repro.gpusim.graph.LaunchGraph.replay`.
     """
-    lens = canonical_tile_lengths(tile, max_seq_len)
     effective = mha or forced_mha_path()
     if cache is None or isinstance(ctx, NullContext):
         return estimate_model(
-            ctx, config, opt, lens, max_seq_len, mha=effective, shard=shard
+            ctx, config, opt, canonical_tile_lengths(tile, max_seq_len),
+            max_seq_len, mha=effective, shard=shard,
         )
     key = (
         "tile",
@@ -557,8 +557,9 @@ def estimate_model_tiled(
     return cache.replay_or_capture(
         key,
         ctx,
+        # the layout is built on a miss only: a cached tile needs none
         lambda cap_ctx: estimate_model(
-            cap_ctx, config, opt, lens, max_seq_len, mha=effective,
-            shard=shard,
+            cap_ctx, config, opt, canonical_tile_lengths(tile, max_seq_len),
+            max_seq_len, mha=effective, shard=shard,
         ),
     )

@@ -21,19 +21,21 @@ only the affected call — the graph itself is immutable, so a mid-replay
 must always happen on a hook-free context (see :func:`capture`): a
 hooked capture would bake latency spikes into the cached times.
 
-Replay into a *fresh* context (no records, elapsed 0.0) costs
-O(eligible launches), not O(launches).  Each graph holds the prefix sums
-of its times, accumulated in the context's own order, and, per target
-prefix tuple, the indices of the launches a
+Replay into a *fresh* context (no records, elapsed 0.0) costs O(1)
+Python calls when no launch faults or stretches, not O(launches).  Each
+graph holds the prefix sums of its times, accumulated in the context's
+own order, and, per target prefix tuple, the indices of the launches a
 :class:`~repro.gpusim.stream.TargetedLaunchHook` (a ``FaultPlan``) can
-touch.  Only those launches reach the hook, in order; the context adopts
-the stream's prefix lazily (see
-:meth:`~repro.gpusim.stream.ExecutionContext.adopt_prefix`), so the
-records are built only if something reads them.  A fault leaves the
-prefix up to the faulted launch; a stretched launch is appended eagerly
-and the per-launch loop takes over from the next one.  A non-fresh
-context, a :class:`~repro.gpusim.stream.NullContext` or any other hook
-takes the per-launch loop from the start.
+touch.  The hook's ``pass_quiet`` consumes, in one call, the decisions
+of the leading eligible launches it leaves alone; only the launch it
+acts on reaches ``on_launch``, and the scan resumes after it if that
+launch is left unstretched.  The context adopts the stream's prefix
+lazily (see :meth:`~repro.gpusim.stream.ExecutionContext.adopt_prefix`),
+so the records are built only if something reads them.  A fault leaves
+the prefix up to the faulted launch; a stretched launch is appended
+eagerly and the per-launch loop takes over from the next one.  A
+non-fresh context, a :class:`~repro.gpusim.stream.NullContext` or any
+other hook takes the per-launch loop from the start.
 
 :class:`GraphCache` is the LRU keyed store with the hit/miss/eviction
 counters that :mod:`repro.gpusim.profiler` surfaces.
@@ -141,16 +143,18 @@ class LaunchGraph:
         execution.
 
         Into a fresh context with no hook or a
-        :class:`~repro.gpusim.stream.TargetedLaunchHook`, only eligible
-        launches are visited (see the module docstring); the result,
-        the records and the hook's effects are the same.
+        :class:`~repro.gpusim.stream.TargetedLaunchHook`, only the
+        eligible launches the hook acts on are visited one by one (see
+        the module docstring); the result, the records and the hook's
+        effects are the same.
         """
-        if ctx.device != self.device:
+        # identity first: dataclass ``__eq__`` builds both field tuples
+        if ctx.device is not self.device and ctx.device != self.device:
             raise ValueError(
                 f"graph captured on {self.device.name!r} cannot replay "
                 f"on {ctx.device.name!r}"
             )
-        if ctx.cluster != self.cluster:
+        if ctx.cluster is not self.cluster and ctx.cluster != self.cluster:
             mine = self.cluster.name if self.cluster else "single-device"
             theirs = ctx.cluster.name if ctx.cluster else "single-device"
             raise ValueError(
@@ -184,11 +188,15 @@ class LaunchGraph:
         """Replay into a fresh context visiting only eligible launches."""
         prefixes = owner.launch_targets if owner is not None else None
         if prefixes is not None:
-            hook = owner.on_launch
-            for i in self.eligible(prefixes):
+            eligible = self.eligible(prefixes)
+            # quiet runs are consumed in one call each; only a launch
+            # the hook acts on reaches on_launch
+            passed = owner.pass_quiet(len(eligible))
+            while passed < len(eligible):
+                i = eligible[passed]
                 launch = self.launches[i]
                 try:
-                    factor = hook(launch, i)
+                    factor = owner.on_launch(launch, i)
                 except BaseException:
                     ctx.adopt_prefix(
                         self.launches, self.times_us, self.starts_us, i
@@ -201,6 +209,8 @@ class LaunchGraph:
                     ctx.append_record(launch, self.times_us[i] * factor)
                     self._replay_each(ctx, i + 1)
                     return ctx.elapsed_us()
+                passed += 1
+                passed += owner.pass_quiet(len(eligible) - passed)
         ctx.adopt_prefix(
             self.launches, self.times_us, self.starts_us, len(self)
         )

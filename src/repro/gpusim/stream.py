@@ -48,12 +48,21 @@ class TargetedLaunchHook(Protocol):
     return exactly 1.0 and change no state.  Graph replay relies on
     that promise to call the hook only for eligible launches; any other
     hook sees every launch.
+
+    :meth:`pass_quiet` lets graph replay skip *quiet* eligible launches
+    in one call: it consumes the decisions of up to ``count`` upcoming
+    eligible launches for which ``on_launch`` would return 1.0 and
+    record nothing, stops before the first one it would act on, and
+    returns how many it passed.  Passing ``k`` launches must leave the
+    hook in exactly the state ``k`` such ``on_launch`` calls would.
     """
 
     @property
     def launch_targets(self) -> tuple[str, ...] | None: ...
 
     def on_launch(self, launch: KernelLaunch, index: int) -> float: ...
+
+    def pass_quiet(self, count: int) -> int: ...
 
 
 def targeted_hook(hook: LaunchHook | None) -> TargetedLaunchHook | None:

@@ -22,6 +22,9 @@ from repro.gpusim.errors import LaunchFailure, TransientOom
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.stream import ExecutionContext
 
+#: uniforms a plan takes from its generator at a time
+_DRAW_BLOCK = 256
+
 #: fault kinds as they appear in the injection log
 LAUNCH_FAILURE = "launch-failure"
 TRANSIENT_OOM = "transient-oom"
@@ -97,9 +100,16 @@ class FaultPlan:
     the decision for the N-th eligible launch depends only on ``seed``
     and N — replaying the same launch stream under the same seed
     reproduces the same faults, which is what makes chaos runs
-    assertable in tests.  It implements
-    :class:`~repro.gpusim.stream.TargetedLaunchHook`, so a graph replay
-    into a fresh context calls it for eligible launches only.
+    assertable in tests.  The N-th decision uses the N-th uniform of
+    ``default_rng(seed)``; the plan takes them from the generator in
+    blocks of :data:`_DRAW_BLOCK` (``Generator.random(n)`` yields the
+    same doubles as ``n`` single calls), so buffering moves no decision.
+
+    It implements :class:`~repro.gpusim.stream.TargetedLaunchHook`: a
+    graph replay into a fresh context hands it a run of eligible
+    launches through :meth:`pass_quiet`, which consumes the leading
+    draws that neither fault nor stretch in O(1), and calls
+    :meth:`on_launch` only for the launch whose draw does.
     """
 
     def __init__(self, spec: FaultSpec, seed: int = 0) -> None:
@@ -109,6 +119,12 @@ class FaultPlan:
         self._ordinal = 0
         #: a zero-rate spec can neither fault nor stretch a launch
         self._inert = spec.fault_rate == 0.0
+        #: the current block of uniforms, the next one's position in it,
+        #: and per position the count of quiet draws from there to the
+        #: block's end (see :meth:`_refill`); empty until the first draw
+        self._draws: list[float] = []
+        self._quiet_runs: list[int] = []
+        self._pos = 0
         self.injected: list[InjectedFault] = []
 
     @property
@@ -117,6 +133,56 @@ class FaultPlan:
         :class:`~repro.gpusim.stream.TargetedLaunchHook` protocol states
         them: ``None`` for a zero-rate spec, else its target prefixes."""
         return None if self._inert else self.spec.target_prefixes
+
+    def _refill(self) -> None:
+        """Take the next block of uniforms from the generator.
+
+        A draw is *quiet* when it is at or above the spec's total fault
+        rate — :meth:`on_launch` would return 1.0 for it and log nothing.
+        ``_quiet_runs[i]`` counts the quiet draws from position ``i`` up
+        to the first event draw or the block's end, so
+        :meth:`pass_quiet` skips a run in one step.
+        """
+        draws = self._rng.random(_DRAW_BLOCK)
+        events = np.flatnonzero(draws < self.spec.fault_rate)
+        positions = np.arange(_DRAW_BLOCK)
+        next_event = np.append(events, _DRAW_BLOCK)[
+            np.searchsorted(events, positions)
+        ]
+        self._draws = draws.tolist()
+        self._quiet_runs = (next_event - positions).tolist()
+        self._pos = 0
+
+    def pass_quiet(self, count: int) -> int:
+        """Consume the draws of up to ``count`` eligible launches that
+        neither fault nor stretch; returns how many passed.
+
+        Stops before the first draw that would fault or stretch its
+        launch, which the caller then hands to :meth:`on_launch`.  The
+        passed launches advance the ordinal exactly as that many
+        :meth:`on_launch` calls returning 1.0 would.
+        """
+        if self._inert:
+            return count
+        passed = 0
+        while passed < count:
+            if self._pos == len(self._draws):
+                self._refill()
+            run = min(self._quiet_runs[self._pos], count - passed)
+            if not run:
+                break
+            self._pos += run
+            passed += run
+        self._ordinal += passed
+        return passed
+
+    def _next_draw(self) -> float:
+        """Hand out the next uniform of the seeded stream."""
+        if self._pos == len(self._draws):
+            self._refill()
+        draw = self._draws[self._pos]
+        self._pos += 1
+        return draw
 
     def on_launch(self, launch: KernelLaunch, index: int) -> float:
         """Launch-hook entry point: decide this launch's fate.
@@ -129,7 +195,7 @@ class FaultPlan:
             return 1.0
         ordinal = self._ordinal
         self._ordinal += 1
-        draw = float(self._rng.random())
+        draw = self._next_draw()
         edge = self.spec.launch_failure_rate
         if draw < edge:
             self.injected.append(

@@ -349,8 +349,12 @@ class _RoundUnit:
 
     @property
     def tokens(self) -> int:
-        """Planned tokens of the round (at least 1)."""
-        return max(1, self.round_.total_tokens)
+        """Tokens the round commits (at least 1): the prompts and decode
+        steps left after KV pressure evicted or deferred rows, not the
+        round as planned."""
+        return max(
+            1, sum(r.seq_len for r in self.prefills) + len(self.decode_ids)
+        )
 
 
 class _DecodePlanner:

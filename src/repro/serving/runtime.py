@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attention.dispatch import force_mha_path
 from repro.core.config import FUSED_MHA, BertConfig, OptimizationConfig
 from repro.core.estimator import estimate_model_graphed, estimate_model_tiled
 from repro.core.model import BertEncoderModel
@@ -198,11 +197,10 @@ class ServingRuntime:
         padded_len: int,
         level: DegradationLevel,
     ) -> float:
-        with force_mha_path(level.mha_path):
-            return estimate_model_graphed(
-                ctx, self.config, self.opt, seq_lens, padded_len,
-                shard=self.shard, cache=self.graph_cache,
-            )
+        return estimate_model_graphed(
+            ctx, self.config, self.opt, seq_lens, padded_len,
+            mha=level.mha_path, shard=self.shard, cache=self.graph_cache,
+        )
 
     def _price_tile(
         self,
@@ -215,11 +213,10 @@ class ServingRuntime:
         chain, graph-cached by ``(device, cluster, config, preset, path,
         shard, tile)`` so identical tiles replay regardless of their
         composition."""
-        with force_mha_path(level.mha_path):
-            return estimate_model_tiled(
-                ctx, self.config, self.opt, tile, max_seq_len,
-                shard=self.shard, cache=self.graph_cache,
-            )
+        return estimate_model_tiled(
+            ctx, self.config, self.opt, tile, max_seq_len,
+            mha=level.mha_path, shard=self.shard, cache=self.graph_cache,
+        )
 
     def estimate_service_rate(self, max_seq_len: int) -> float:
         """Modelled drain capacity in sequence tokens per simulated µs.

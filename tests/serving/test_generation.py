@@ -13,6 +13,7 @@ from repro.serving.faults import FaultSpec
 from repro.serving.gateway import AdmissionGateway, QosClass, TenantPolicy
 from repro.serving.generation import (
     GenerationRuntime,
+    _DecodePlanner,
     generate_reference_outputs,
 )
 from repro.serving.report import Outcome, REASON_ADMISSION
@@ -25,6 +26,7 @@ from repro.telemetry.slo import (
     KV_BYTES_PEAK,
     KV_EVICTIONS_TOTAL,
     TENANT_REQUESTS_TOTAL,
+    US_PER_TOKEN,
 )
 from repro.workloads.serving import (
     GenerationRequest,
@@ -205,6 +207,38 @@ class TestKVPressure:
         assert KV_BYTES_PEAK in snapshot
         assert KV_EVICTIONS_TOTAL in snapshot
         assert DECODE_TOKENS_TOTAL in snapshot
+
+    def test_round_price_counts_committed_tokens(self, monkeypatch):
+        """``serving_us_per_token`` is a round's service over the tokens
+        it commits.  Under KV pressure the cut round loses evicted
+        decode rows and deferred prompts; they must not dilute the
+        price."""
+        services, rounds = [], []
+        price, commit = _DecodePlanner.price, _DecodePlanner.commit
+
+        def priced(self, unit, ctx, level):
+            services.append(price(self, unit, ctx, level))
+            return services[-1]
+
+        def committed(self, unit, level, finish, attempt):
+            rows = sum(r.seq_len for r in unit.prefills)
+            rows += len(unit.decode_ids)
+            rounds.append((rows, unit.round_.total_tokens))
+            return commit(self, unit, level, finish, attempt)
+
+        monkeypatch.setattr(_DecodePlanner, "price", priced)
+        monkeypatch.setattr(_DecodePlanner, "commit", committed)
+        tel = Telemetry()
+        trace = gen_trace(n=12, mean_interarrival_us=5.0)
+        GenerationRuntime(
+            CFG, seed=0, kv_capacity_tokens=96, telemetry=tel,
+            compute_outputs=False,
+        ).run(trace)
+        assert any(rows < planned for rows, planned in rounds)
+        samples = tel.metrics.find(US_PER_TOKEN)._samples
+        assert samples == [
+            service / rows for service, (rows, _) in zip(services, rounds)
+        ]
 
 
 class TestChaos:
