@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.memory_planner import BUCKET_SCRATCH_SUFFIXES, LiveArena
+from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
 from repro.core.parallel import current_executor
 
@@ -134,47 +134,82 @@ def softmax_lastaxis_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def bucket_scratch(
+    kernel: str,
+    bucket: LengthBucket,
+    num_heads: int,
+    head_size: int,
+    dtype: np.dtype | type,
+) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The arena scratch one bucket of ``kernel`` takes, in take order.
+
+    Ordered ``(suffix, shape)`` pairs, each taken in the forward's dtype
+    as ``mha.{i}.{suffix}`` for bucket ``i``:
+
+    * ``"short"`` (:func:`bucketed_sdpa`): the gathered QKV rows, the
+      per-head Q, K and V, the bucket-wide scores, the context and the
+      merged heads;
+    * ``"long"`` in float64
+      (:func:`repro.attention.fused_long._bucketed_fused_long`): the
+      gathered QKV rows and one ``[L, L]`` tile that every (sequence,
+      head) tile of the bucket reuses;
+    * ``"long"`` in any other dtype: nothing (its tiles are allocated).
+
+    :func:`acquire_bucket_scratch` takes exactly this and
+    :func:`~repro.core.memory_planner.plan_live_forward` plans exactly
+    this, so the plan and the engine cannot drift apart.
+    """
+    bsz, length = bucket.rows.shape
+    hidden = num_heads * head_size
+    blk = ("blk", (bsz * length, 3 * hidden))
+    if kernel == "long":
+        if np.dtype(dtype) != np.float64:
+            return ()
+        return (blk, ("tile", (length, length)))
+    unit = (bsz, num_heads, length, head_size)
+    return (
+        blk,
+        ("q", unit),
+        ("k", unit),
+        ("v", unit),
+        ("scores", (bsz, num_heads, length, length)),
+        ("ctx", unit),
+        ("merged", (bsz * length, hidden)),
+    )
+
+
 def acquire_bucket_scratch(
     scratch: LiveArena,
+    kernel: str,
     buckets: list[LengthBucket],
     num_heads: int,
     head_size: int,
-    dtype: np.dtype,
+    dtype: np.dtype | type,
 ) -> list[dict[str, np.ndarray]]:
-    """Pre-acquire every bucket's scratch buffers from the arena.
+    """Take every bucket's declared scratch (:func:`bucket_scratch`).
 
     All takes happen serially *before* any bucket work runs, so buckets
     may then execute on a worker pool without ever touching the (non
-    thread-safe) arena.  Buffer names follow the canonical
-    ``mha.{i}.{suffix}`` scheme :func:`~repro.core.memory_planner.plan_live_forward`
-    plans with.
+    thread-safe) arena.  Returns one ``{suffix: view}`` dict per bucket,
+    in take order; a kernel that declares nothing gets empty dicts.
     """
-    hidden = num_heads * head_size
-    bufs = []
-    for i, bucket in enumerate(buckets):
-        bsz, length = bucket.rows.shape
-        p = f"mha.{i}."
-        unit = (bsz, num_heads, length, head_size)
-        bufs.append(
-            {
-                "blk": scratch.take(p + "blk", (bsz * length, 3 * hidden), dtype),
-                "q": scratch.take(p + "q", unit, dtype),
-                "k": scratch.take(p + "k", unit, dtype),
-                "v": scratch.take(p + "v", unit, dtype),
-                "scores": scratch.take(
-                    p + "scores", (bsz, num_heads, length, length), dtype
-                ),
-                "ctx": scratch.take(p + "ctx", unit, dtype),
-                "merged": scratch.take(p + "merged", (bsz * length, hidden), dtype),
-            }
-        )
-    return bufs
+    return [
+        {
+            suffix: scratch.take(f"mha.{i}.{suffix}", shape, dtype)
+            for suffix, shape in bucket_scratch(
+                kernel, bucket, num_heads, head_size, dtype
+            )
+        }
+        for i, bucket in enumerate(buckets)
+    ]
 
 
-def release_bucket_scratch(scratch: LiveArena, num_buckets: int) -> None:
+def release_bucket_scratch(
+    scratch: LiveArena, bufs: list[dict[str, np.ndarray]]
+) -> None:
     """Release what :func:`acquire_bucket_scratch` took, in take order."""
-    for i in range(num_buckets):
-        for suffix in BUCKET_SCRATCH_SUFFIXES:
+    for i, taken in enumerate(bufs):
+        for suffix in taken:
             scratch.release(f"mha.{i}.{suffix}")
 
 
@@ -263,7 +298,7 @@ def bucketed_sdpa(
     buckets = build_buckets(packing, bucket_step)
     bufs = (
         acquire_bucket_scratch(
-            scratch, buckets, num_heads, head_size, qkv_packed.dtype
+            scratch, "short", buckets, num_heads, head_size, qkv_packed.dtype
         )
         if scratch is not None
         else None
@@ -312,5 +347,5 @@ def bucketed_sdpa(
 
     current_executor().map(run_bucket, range(len(buckets)))
     if scratch is not None:
-        release_bucket_scratch(scratch, len(buckets))
+        release_bucket_scratch(scratch, bufs)
     return out

@@ -18,6 +18,7 @@ from repro.attention.fused_short import fused_short_mha, supports
 from repro.attention.zeropad_softmax_mha import zeropad_softmax_mha
 from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
+from repro.gpusim.device import DeviceSpec
 from repro.gpusim.stream import ExecutionContext, resolve_context
 from repro.kernels.grouped_gemm import SchedulerKind
 
@@ -55,6 +56,24 @@ def force_mha_path(path: str | None) -> Iterator[str | None]:
         _forced_path = previous
 
 
+def mha_kernel(
+    max_len: int, head_size: int, short_max_seq: int, device: DeviceSpec
+) -> str:
+    """Which fused kernel a batch runs: ``"short"`` or ``"long"``.
+
+    The short kernel takes a batch whose longest sequence is within
+    ``short_max_seq`` (``OptimizationConfig.fused_mha_short_max_seq``)
+    and whose shared-memory tiles fit ``device``; the grouped long
+    kernel takes the rest.  The numeric dispatch, the cost estimator and
+    the live-arena planner all choose through this one function.
+    """
+    if max_len <= short_max_seq and supports(
+        max_len, head_size, device.max_shared_mem_per_block
+    ):
+        return "short"
+    return "long"
+
+
 def byte_mha(
     qkv_packed: np.ndarray,
     qkv_bias: np.ndarray,
@@ -88,9 +107,8 @@ def byte_mha(
             qkv_packed, qkv_bias, packing, num_heads, ctx=context,
             category=category, out=out,
         )
-    if max_len <= short_max_seq and supports(
-        max_len, head_size, context.device.max_shared_mem_per_block
-    ):
+    kernel = mha_kernel(max_len, head_size, short_max_seq, context.device)
+    if kernel == "short":
         return fused_short_mha(
             qkv_packed, qkv_bias, packing, num_heads, ctx=context,
             category=category, out=out, scratch=scratch,

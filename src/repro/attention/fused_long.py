@@ -235,10 +235,13 @@ def _bucketed_fused_long(
     reference's fp64 broadcast does), fp64 ``probs @ v`` written straight
     into ``out`` — so the engines agree bit for bit.  Each bucket reuses
     its own tiles across its heads, so buckets may run on the current
-    :class:`~repro.core.parallel.BucketExecutor`.  ``scratch`` is
-    honoured for float64 inputs (the transform runs in place on a tile
-    of the planned ``scores`` buffer); fp32 tiles are allocated, as
-    carving them touched arena pages that raised peak RSS by ~15%.
+    :class:`~repro.core.parallel.BucketExecutor`.  With ``scratch``,
+    each bucket takes what :func:`~repro.attention.bucketed.bucket_scratch`
+    declares for the long kernel: in float64, the gathered QKV rows and
+    one ``[L, L]`` tile that holds the scores and, in place, the
+    transform; in fp32, nothing, and the tiles are allocated, as carving
+    them from the arena touched backing pages that raised peak RSS by
+    ~15%.
     """
     tokens = packing.total_tokens
     hidden = num_heads * head_size
@@ -248,15 +251,17 @@ def _bucketed_fused_long(
     # exact buckets (bucket_step=1) hold no padding, so nothing is masked
     buckets = build_buckets(packing)
     bufs = (
-        acquire_bucket_scratch(scratch, buckets, num_heads, head_size, dtype)
-        if scratch is not None and dtype == np.float64
-        else None
+        acquire_bucket_scratch(
+            scratch, "long", buckets, num_heads, head_size, dtype
+        )
+        if scratch is not None
+        else [{}] * len(buckets)
     )
 
     def run_bucket(i: int) -> None:
         bucket = buckets[i]
         length = bucket.length
-        if bufs is None:
+        if not bufs[i]:
             blk = qkv_packed[bucket.rows.ravel()]
             blk += qkv_bias
             probs = np.empty((length, length))
@@ -268,8 +273,7 @@ def _bucketed_fused_long(
                 qkv_packed, bucket.rows.ravel(), axis=0, out=bufs[i]["blk"]
             )
             np.add(blk, qkv_bias, out=blk)
-            flat = bufs[i]["scores"].reshape(-1)
-            probs = scores = flat[: length * length].reshape(length, length)
+            probs = scores = bufs[i]["tile"]
         for b, start in enumerate(bucket.rows[:, 0]):
             seq = blk[b * length : (b + 1) * length]
             qkv = seq.reshape(length, 3, num_heads, head_size)
@@ -287,6 +291,6 @@ def _bucketed_fused_long(
                 np.matmul(probs, qkv[:, 2, h], out=out[rows, cols])
 
     current_executor().map(run_bucket, range(len(buckets)))
-    if bufs is not None:
-        release_bucket_scratch(scratch, len(buckets))
+    if scratch is not None:
+        release_bucket_scratch(scratch, bufs)
     return out

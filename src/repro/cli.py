@@ -168,9 +168,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    """Quick numerical cross-validation: every pipeline == the oracle."""
+    """Quick numerical cross-validation: every pipeline == the oracle,
+    and every packed pipeline's live arena is planned exactly."""
     del args
     from repro.core.config import STEPWISE_PRESETS
+    from repro.core.memory_planner import LiveArena
     from repro.core.model import BertEncoderModel
     from repro.core.reference import reference_encoder
     from repro.core.weights import init_model_weights
@@ -199,6 +201,27 @@ def cmd_selftest(args: argparse.Namespace) -> int:
                 f"    {preset.label:<26} max|err| vs oracle = {err:.2e}  "
                 f"{'ok' if ok else 'FAIL'}"
             )
+            if not preset.remove_padding:
+                continue
+            # the arena is reserved from its plan before the first
+            # forward: an overflow means the plan missed a take
+            for dtype in (np.float32, np.float64):
+                x = batch.x.astype(dtype)
+                arena = LiveArena()
+                backed = BertEncoderModel(
+                    config, preset, weights=weights, arena=arena
+                )
+                same = np.array_equal(
+                    backed.forward(x, batch.mask), model.forward(x, batch.mask)
+                )
+                ok = same and arena.overflow_allocs == 0
+                failed |= not ok
+                print(
+                    f"      live arena {np.dtype(dtype).name:<8} "
+                    f"{arena.overflow_allocs} overflow allocs, "
+                    f"{'bitwise equal' if same else 'BITS DIFFER'}  "
+                    f"{'ok' if ok else 'FAIL'}"
+                )
     print("selftest " + ("FAILED" if failed else "passed"))
     return 1 if failed else 0
 

@@ -193,9 +193,12 @@ def encoder_layer_packed(
 
     With ``scratch`` (and ``out``, the caller's ping-pong buffer for the
     layer result), every large intermediate is taken from / released to
-    the live arena in the exact order
-    :func:`repro.core.memory_planner.plan_live_forward` plans, and the
-    layer performs zero large ndarray allocations in steady state.  The
+    the live arena, and the layer performs zero large ndarray
+    allocations in steady state.  These takes and releases, with the
+    bucket scratch the dispatched attention kernel declares
+    (:func:`repro.attention.bucketed.bucket_scratch`), are exactly the
+    sequence :func:`repro.core.memory_planner.plan_live_forward` plans;
+    ``tests/core/test_live_arena.py`` checks them equal.  The
     two forms are bit-identical: each ``out=`` kernel variant replays the
     allocating variant's op sequence into preplaced storage.
 

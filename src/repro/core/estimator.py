@@ -25,9 +25,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.attention.dispatch import forced_mha_path
+from repro.attention.dispatch import forced_mha_path, mha_kernel
 from repro.attention.fused_long import FMHA_GROUPED_EFFICIENCY
-from repro.attention.fused_short import fused_short_launch, supports
+from repro.attention.fused_short import fused_short_launch
 from repro.attention.standard import standard_mha_launches
 from repro.core.config import BertConfig, OptimizationConfig
 from repro.core.sharding import ShardSpec
@@ -217,10 +217,13 @@ def estimate_byte_mha(
     opt: OptimizationConfig,
 ) -> None:
     """ByteTransformer fused-MHA dispatch (see ``byte_mha``)."""
-    max_len = int(np.max(seq_lens))
-    if max_len <= opt.fused_mha_short_max_seq and supports(
-        max_len, config.head_size, ctx.device.max_shared_mem_per_block
-    ):
+    kernel = mha_kernel(
+        int(np.max(seq_lens)),
+        config.head_size,
+        opt.fused_mha_short_max_seq,
+        ctx.device,
+    )
+    if kernel == "short":
         ctx.launch(
             fused_short_launch(
                 np.asarray(seq_lens), config.num_heads, config.head_size

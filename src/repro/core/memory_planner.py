@@ -27,10 +27,10 @@ allocator: one backing byte buffer, best-fit offsets from
 intermediate (packed QKV, attention scores, GELU/LN temporaries) from
 the arena, so a steady-state forward — once the backing buffer has
 converged for the shape — performs **zero** large ndarray allocations.
-:func:`plan_live_forward` is the matching offline prediction: it mirrors
-the engine's take/release sequence symbolically (in the engine's own
-float64 bytes — unlike :func:`trace_encoder_layer`, which models an fp16
-deployment), so tests can assert the live peak never exceeds the plan.
+:func:`plan_live_forward` is the matching offline plan, equal event for
+event to the engine's take/release sequence in the engine's own element
+width (unlike :func:`trace_encoder_layer`, which models an fp16
+deployment).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.config import BertConfig, OptimizationConfig
+from repro.gpusim.device import A100_SPEC, DeviceSpec
 from repro.gpusim.memory import BYTES_PER_ELEMENT, BYTES_PER_FP32
 
 
@@ -51,10 +52,6 @@ class MemEvent:
 
     tensor: str
     bytes: int
-
-    def __post_init__(self) -> None:
-        if self.bytes == 0:
-            raise ValueError(f"{self.tensor}: zero-byte event")
 
 
 @dataclass
@@ -82,6 +79,16 @@ class ActivationTrace:
     def free_all(self) -> None:
         for tensor in list(self._live):
             self.free(tensor)
+
+    def take(
+        self, tensor: str, shape: tuple[int, ...], dtype: np.dtype | type
+    ) -> None:
+        """:meth:`LiveArena.take`, symbolically (so is :meth:`release`):
+        the planner runs the engine's own scratch helpers on a trace."""
+        nbytes = np.prod(shape, dtype=np.int64) * np.dtype(dtype).itemsize
+        self.alloc(tensor, nbytes)
+
+    release = free
 
     @property
     def live_bytes(self) -> int:
@@ -135,7 +142,6 @@ class ArenaAllocator:
         self._placements: dict[str, Placement] = {}
         #: sorted list of (offset, bytes) free chunks inside the arena
         self._free: list[tuple[int, int]] = []
-        self.history: list[Placement] = []
 
     def _align(self, value: int) -> int:
         a = self.alignment
@@ -160,7 +166,6 @@ class ArenaAllocator:
             placement = Placement(tensor, self.arena_bytes, need)
             self.arena_bytes += need
         self._placements[tensor] = placement
-        self.history.append(placement)
         return placement
 
     def release(self, tensor: str) -> None:
@@ -180,10 +185,8 @@ class ArenaAllocator:
 
     def replay(self, trace: ActivationTrace) -> int:
         """Place a whole trace; returns the final arena size in bytes."""
-        sizes: dict[str, int] = {}
         for event in trace:
             if event.bytes > 0:
-                sizes[event.tensor] = event.bytes
                 self.allocate(event.tensor, event.bytes)
             else:
                 self.release(event.tensor)
@@ -262,8 +265,7 @@ class LiveArena:
         self._raw_sizes[name] = nbytes
         self._live_raw += nbytes
         self.peak_live_bytes = max(self.peak_live_bytes, self._live_raw)
-        end = placement.offset + placement.bytes
-        if end <= self._buf.nbytes:
+        if placement.end <= self._buf.nbytes:
             view = self._buf[placement.offset : placement.offset + nbytes]
             return view.view(dt).reshape(shape)
         self.overflow_allocs += 1
@@ -278,12 +280,9 @@ class LiveArena:
         """Pre-commit backing capacity: the next :meth:`begin` grows the
         buffer to at least ``nbytes``.
 
-        Continuous serving sizes the arena from the *token-budget tile*
-        (see :func:`plan_live_megabatch`) rather than from the first
-        megabatch that happens to arrive, so differently-composed
-        megabatches of the same tile never regrow the backing — the
-        warm-up ``np.empty`` overflows are paid at most once per tile
-        instead of once per composition.
+        Continuous serving reserves each token-budget tile's plans
+        (:func:`plan_live_megabatch`) before its first megabatch, so no
+        composition of the tile pays a warm-up ``np.empty`` overflow.
         """
         if nbytes < 0:
             raise ValueError(f"cannot reserve {nbytes} bytes")
@@ -320,9 +319,13 @@ def trace_encoder_layer(
     # x (the layer input / residual) is assumed live on entry
     t.alloc(p + "qkv", rows * 3 * hidden * elem)
     if opt.fused_mha:
-        max_len = int(np.max(seq_lens))
-        short_ok = max_len <= opt.fused_mha_short_max_seq
-        if short_ok:
+        from repro.attention.dispatch import mha_kernel
+
+        kernel = mha_kernel(
+            int(np.max(seq_lens)), config.head_size,
+            opt.fused_mha_short_max_seq, A100_SPEC,
+        )
+        if kernel == "short":
             # Algorithm III.1: logits live in shared memory only
             t.alloc(p + "attn", tokens * hidden * elem)
         else:
@@ -422,41 +425,34 @@ def memory_report(
     return MemoryReport(label=opt.label, peak_bytes=peak, arena_bytes=arena)
 
 
-#: scratch-buffer suffixes one attention bucket acquires, in take order —
-#: shared with :mod:`repro.attention.bucketed` so the symbolic plan and
-#: the live engine can never drift apart on names
-BUCKET_SCRATCH_SUFFIXES = ("blk", "q", "k", "v", "scores", "ctx", "merged")
-
-
 def plan_live_forward(
     config: BertConfig,
     opt: OptimizationConfig,
     seq_lens: np.ndarray,
     max_seq_len: int,
     *,
+    device: DeviceSpec,
     mha: str | None = None,
     dtype: np.dtype | type = np.float64,
+    tile: int | None = None,
 ) -> ActivationTrace:
-    """Symbolic alloc/free trace of one *live* arena-backed forward.
+    """Symbolic take/release sequence of one *live* arena-backed forward.
 
-    Mirrors, name for name and in the same order, the
-    :class:`LiveArena` take/release sequence the vectorized packed
-    engine performs (see :func:`repro.core.encoder.encoder_layer_packed`
-    and :func:`repro.attention.bucketed.bucketed_sdpa`), in the engine's
-    actual element width (float64 by default) — **not** the fp16
-    deployment bytes of :func:`trace_encoder_layer`.  Its
-    :func:`peak_live_bytes` is the planner's offline prediction the live
-    arena's observed peak is tested against, and replaying it through an
-    :class:`ArenaAllocator` predicts the converged backing-buffer size.
-
-    ``mha`` mirrors the dispatch override: ``"fused"`` plans the
-    bucketed scratch buffers (the short kernel fills them all; the
-    grouped long kernel takes them only for float64 forwards and uses
-    ``blk`` plus one tile-sized slice of ``scores``), ``"zeropad"``/
-    ``"cublas"`` plan none (those paths allocate internally and are not
-    arena-backed).
+    Equal, event for event (name, bytes, order), to the
+    :class:`LiveArena` takes and releases of the vectorized packed
+    engine, then a free of whatever is still live, in ``dtype`` bytes
+    (not the fp16 deployment bytes of :func:`trace_encoder_layer`).
+    Attention follows the engine's dispatch: unless ``mha`` (the
+    dispatch override) forces ``"zeropad"``/``"cublas"``, a fused
+    forward picks its kernel with :func:`~repro.attention.dispatch.mha_kernel`
+    on ``device`` (that of the context its numerics run under) and takes
+    each bucket's :func:`~repro.attention.bucketed.bucket_scratch`
+    through the engine's own acquire/release helpers.  ``tile`` plans a
+    megabatch forward, whose output is ``[tile, H]``, not the padded
+    ``[B * max_seq_len, H]``.
     """
-    from repro.attention.bucketed import build_buckets
+    from repro.attention import bucketed
+    from repro.attention.dispatch import mha_kernel
     from repro.core.padding import packing_from_lengths
 
     if not opt.remove_padding:
@@ -465,57 +461,45 @@ def plan_live_forward(
             "plan_live_forward needs remove_padding"
         )
     lens = np.asarray(seq_lens, dtype=np.int64)
-    batch = lens.shape[0]
-    hidden = config.hidden_size
-    ffn = config.ffn_size
-    heads = config.num_heads
-    head = config.head_size
     tokens = int(lens.sum())
-    elem = np.dtype(dtype).itemsize
-    if mha is None:
-        mha = "fused" if opt.fused_mha else "zeropad"
-    bucketed = mha == "fused"
-    packing = packing_from_lengths(lens, max_seq_len, cache=None)
-    buckets = build_buckets(packing) if bucketed else []
+    hidden = config.hidden_size
+    buckets = []
+    if opt.fused_mha and mha not in ("zeropad", "cublas"):
+        kernel = mha_kernel(
+            int(lens.max()), config.head_size, opt.fused_mha_short_max_seq,
+            device,
+        )
+        packing = packing_from_lengths(lens, max_seq_len, cache=None)
+        buckets = bucketed.build_buckets(packing)
 
     t = ActivationTrace()
-    t.alloc("h0", tokens * hidden * elem)
-    t.alloc("h1", tokens * hidden * elem)
+    t.take("h0", (tokens, hidden), dtype)
+    t.take("h1", (tokens, hidden), dtype)
     for _ in range(config.num_layers):
-        t.alloc("qkv", tokens * 3 * hidden * elem)
-        t.alloc("attn", tokens * hidden * elem)
-        if bucketed:
-            for i, bucket in enumerate(buckets):
-                bsz, length = bucket.rows.shape
-                unit = bsz * heads * length * head * elem
-                p = f"mha.{i}."
-                t.alloc(p + "blk", bsz * length * 3 * hidden * elem)
-                t.alloc(p + "q", unit)
-                t.alloc(p + "k", unit)
-                t.alloc(p + "v", unit)
-                t.alloc(p + "scores", bsz * heads * length * length * elem)
-                t.alloc(p + "ctx", unit)
-                t.alloc(p + "merged", bsz * length * hidden * elem)
-            for i in range(len(buckets)):
-                for suffix in BUCKET_SCRATCH_SUFFIXES:
-                    t.free(f"mha.{i}.{suffix}")
-        t.free("qkv")
-        t.alloc("proj", tokens * hidden * elem)
-        t.free("attn")
-        t.alloc("ln0", tokens * hidden * elem)
-        t.alloc("ln_tmp", tokens * hidden * elem)
-        t.free("ln_tmp")
-        t.free("proj")
-        t.alloc("ffn_up", tokens * ffn * elem)
-        t.alloc("gelu_tmp", tokens * ffn * elem)
-        t.free("gelu_tmp")
-        t.alloc("ffn_down", tokens * hidden * elem)
-        t.free("ffn_up")
-        t.alloc("ln_tmp", tokens * hidden * elem)
-        t.free("ln_tmp")
-        t.free("ffn_down")
-        t.free("ln0")
-    t.alloc("output", batch * max_seq_len * hidden * elem)
+        t.take("qkv", (tokens, 3 * hidden), dtype)
+        t.take("attn", (tokens, hidden), dtype)
+        if buckets:
+            scratch = bucketed.acquire_bucket_scratch(
+                t, kernel, buckets, config.num_heads, config.head_size, dtype
+            )
+            bucketed.release_bucket_scratch(t, scratch)
+        t.release("qkv")
+        t.take("proj", (tokens, hidden), dtype)
+        t.release("attn")
+        t.take("ln0", (tokens, hidden), dtype)
+        t.take("ln_tmp", (tokens, hidden), dtype)
+        t.release("ln_tmp")
+        t.release("proj")
+        t.take("ffn_up", (tokens, config.ffn_size), dtype)
+        t.take("gelu_tmp", (tokens, config.ffn_size), dtype)
+        t.release("gelu_tmp")
+        t.take("ffn_down", (tokens, hidden), dtype)
+        t.release("ffn_up")
+        t.take("ln_tmp", (tokens, hidden), dtype)
+        t.release("ln_tmp")
+        t.release("ffn_down")
+        t.release("ln0")
+    t.take("output", (tile or len(lens) * max_seq_len, hidden), dtype)
     t.free_all()
     return t
 
@@ -526,34 +510,48 @@ def plan_live_megabatch(
     tile: int,
     max_seq_len: int,
     *,
+    device: DeviceSpec,
     mha: str | None = None,
     dtype: np.dtype | type = np.float64,
-) -> ActivationTrace:
-    """Symbolic arena plan for a token-budget megabatch tile.
+) -> list[ActivationTrace]:
+    """Arena plans that together cover every megabatch of a tile.
 
-    Plans the tile's *canonical* segment layout (full ``max_seq_len``
-    segments plus a ragged remainder — see
-    :func:`repro.core.estimator.canonical_tile_lengths`), which maximises
-    every buffer class over all megabatch compositions admissible into
-    the tile: the row-proportional buffers (QKV, FFN, layernorm
-    temporaries) scale with total tokens, bounded by the tile, and the
-    attention score bytes ``sum(len_i^2)`` are maximised — with total
-    tokens fixed and each segment capped at ``max_seq_len`` — by the
-    extreme point the canonical layout is.  Replaying this plan through
-    an :class:`ArenaAllocator` therefore sizes a backing buffer that any
-    real megabatch of the tile fits into (up to per-bucket alignment
-    slack, which :meth:`LiveArena.begin` absorbs by growing once).
+    Each plan fills the tile, the most any row-proportional buffer
+    takes.  Short-kernel scratch holds ``len^2`` scores per sequence:
+    its worst layout is the canonical one
+    (:func:`repro.core.estimator.canonical_tile_lengths`) at the longest
+    length the short kernel takes.  Long-kernel float64 scratch holds an
+    ``[L, L]`` tile per distinct length: its worst layout is the distinct
+    lengths ``max_seq_len, max_seq_len - 1, ...`` that fit.  Past the
+    short limit both plans are returned; a backing of their largest
+    :class:`ArenaAllocator` replay holds any megabatch of the tile, up
+    to alignment slack that :meth:`LiveArena.begin` absorbs once.
     """
+    from repro.attention.dispatch import mha_kernel
     from repro.core.estimator import canonical_tile_lengths
 
-    return plan_live_forward(
-        config,
-        opt,
-        canonical_tile_lengths(tile, max_seq_len),
-        max_seq_len,
-        mha=mha,
-        dtype=dtype,
+    longest = min(int(tile), int(max_seq_len))
+    head, short_max = config.head_size, opt.fused_mha_short_max_seq
+    short = max(
+        (n for n in range(1, longest + 1)
+         if mha_kernel(n, head, short_max, device) == "short"),
+        default=0,
     )
+    layouts = [canonical_tile_lengths(tile, short)] if short else []
+    if short < longest:
+        desc = np.arange(longest, 0, -1, dtype=np.int64)
+        fit = desc[np.cumsum(desc) <= tile]
+        rest = int(tile) - int(fit.sum())
+        if rest:
+            fit = np.concatenate([fit, canonical_tile_lengths(rest, longest)])
+        layouts.append(fit)
+    return [
+        plan_live_forward(
+            config, opt, lens, max_seq_len,
+            device=device, mha=mha, dtype=dtype, tile=tile,
+        )
+        for lens in layouts
+    ]
 
 
 def plan_paged_kv_arena(
@@ -568,7 +566,7 @@ def plan_paged_kv_arena(
     The decode-serving KV arena (:class:`repro.decoder.paged_kv.PagedKVArena`)
     holds one persistent ``[blocks, block_tokens, 2, hidden]`` tensor in a
     :class:`LiveArena`.  This mirrors that single allocation name for name,
-    the same way :func:`plan_live_megabatch` mirrors the megabatch forward,
+    the same way :func:`plan_live_forward` plans an encoder forward,
     so the runtime can ``reserve()`` the exact backing bytes up front and
     the pool is served from the backing from the first ``take`` — zero
     overflow allocations ever, which the ``decode_serving`` bench gates.

@@ -32,6 +32,7 @@ from repro.core.encoder import encoder_layer_packed, encoder_layer_padded
 from repro.core.engine import is_vectorized
 from repro.core.estimator import estimate_model_tiled
 from repro.core.memory_planner import (
+    ActivationTrace,
     ArenaAllocator,
     LiveArena,
     plan_live_forward,
@@ -116,10 +117,9 @@ class BertEncoderModel:
         # warm the per-layer weight/bias splits and per-head views once so
         # the forward path never re-slices parameters
         self.weights.precompute(self.config.num_heads)
-        #: tiles whose canonical arena plan has already been reserved
-        self._reserved_tiles: set[int] = set()
-        #: mask-path shape signatures already pre-sized into the arena
-        self._reserved_shapes: set[tuple] = set()
+        #: every input of each arena plan already reserved (tile or
+        #: lengths, max_seq_len, dtype, forced path, dispatch device)
+        self._reserved_plans: set[tuple] = set()
 
     def forward(
         self,
@@ -266,25 +266,32 @@ class BertEncoderModel:
         Continuous serving calls this once up front with the batcher's
         tile set, so even the *first* megabatch of each tile runs from
         converged backing — no warm-up ``np.empty`` overflow allocs.
-        A no-op without an arena or for already-reserved tiles.
+        A no-op without an arena or for an already-reserved plan.
         """
         if self.arena is None or not self.opt.remove_padding:
             return
+        # megabatch numerics run under a NullContext: attention
+        # dispatches on its device
+        device = NullContext().device
+        path = forced_mha_path()
         for tile in tiles:
-            if tile in self._reserved_tiles:
-                continue
-            plan = plan_live_megabatch(
-                self.config,
-                self.opt,
-                tile,
-                max_seq_len,
-                mha=forced_mha_path(),
-                dtype=dtype,
-            )
-            self.arena.reserve(
-                ArenaAllocator(self.arena.alignment).replay(plan)
-            )
-            self._reserved_tiles.add(tile)
+            key = (tile, max_seq_len, np.dtype(dtype).str, path, device)
+            if key not in self._reserved_plans:
+                self._reserve(
+                    key,
+                    plan_live_megabatch(
+                        self.config, self.opt, tile, max_seq_len,
+                        device=device, mha=path, dtype=dtype,
+                    ),
+                )
+
+    def _reserve(self, key: tuple, plans: list[ActivationTrace]) -> None:
+        """Reserve the largest replay of ``plans``, the plans of ``key``."""
+        alignment = self.arena.alignment
+        self.arena.reserve(
+            max(ArenaAllocator(alignment).replay(p) for p in plans)
+        )
+        self._reserved_plans.add(key)
 
     def _segment_chunks(
         self, mega: CrossRequestPacking
@@ -440,25 +447,20 @@ class BertEncoderModel:
                 # pre-size the backing from the shape's symbolic plan so
                 # even the first forward per shape is served entirely
                 # from the backing — zero warm-up np.empty overflows
-                shape_key = (
+                path = forced_mha_path()
+                key = (
                     packing.seq_lens.tobytes(),
                     seq_len,
                     dt.str,
-                    forced_mha_path(),
+                    path,
+                    context.device,
                 )
-                if shape_key not in self._reserved_shapes:
+                if key not in self._reserved_plans:
                     plan = plan_live_forward(
-                        self.config,
-                        self.opt,
-                        packing.seq_lens,
-                        seq_len,
-                        mha=forced_mha_path(),
-                        dtype=dt,
+                        self.config, self.opt, packing.seq_lens, seq_len,
+                        device=context.device, mha=path, dtype=dt,
                     )
-                    arena.reserve(
-                        ArenaAllocator(arena.alignment).replay(plan)
-                    )
-                    self._reserved_shapes.add(shape_key)
+                    self._reserve(key, [plan])
                 arena.begin()
                 cur = arena.take("h0", (tokens, hidden), dt)
                 nxt = arena.take("h1", (tokens, hidden), dt)

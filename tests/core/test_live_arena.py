@@ -4,22 +4,31 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attention.bucketed import (
     acquire_bucket_scratch,
     build_buckets,
     release_bucket_scratch,
 )
-from repro.core.config import STEPWISE_PRESETS, BertConfig
+from repro.attention.dispatch import force_mha_path
+from repro.core.config import RM_PADDING, STEPWISE_PRESETS, BertConfig
 from repro.core.memory_planner import (
     ArenaAllocator,
     LiveArena,
-    peak_live_bytes,
     plan_live_forward,
+    plan_live_megabatch,
 )
 from repro.core.model import BertEncoderModel
-from repro.core.padding import packing_from_lengths
+from repro.core.padding import (
+    merge_request_lengths,
+    pack_segments,
+    packing_from_lengths,
+)
 from repro.core.parallel import use_workers
+from repro.gpusim import ExecutionContext
+from repro.gpusim.device import A100_SPEC
 
 # the PR 1 equivalence matrix: every shape class the bucketed engine
 # must handle (mirrors tests/attention/test_bucketed_equivalence.py)
@@ -37,16 +46,75 @@ CONFIG = BertConfig(num_layers=2, num_heads=4, head_size=16)
 FUSED = STEPWISE_PRESETS[-1]  # "fused MHA"
 
 
-def _batch(lengths, seed=0, dtype=np.float32):
+def _batch(lengths, seed=0, dtype=np.float32, max_seq=MAX_SEQ):
     rng = np.random.default_rng(seed)
     batch = len(lengths)
     x = rng.standard_normal(
-        (batch, MAX_SEQ, CONFIG.hidden_size)
+        (batch, max_seq, CONFIG.hidden_size)
     ).astype(dtype)
-    mask = np.zeros((batch, MAX_SEQ), dtype=np.int64)
+    mask = np.zeros((batch, max_seq), dtype=np.int64)
     for row, length in enumerate(lengths):
         mask[row, :length] = 1
     return x, mask
+
+
+def _megabatch(lengths, max_seq, tile, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    mega = merge_request_lengths(lengths, max_seq, tile, cache=None)
+    segments = [
+        rng.standard_normal((n, CONFIG.hidden_size)).astype(dtype)
+        for n in lengths
+    ]
+    return pack_segments(segments, mega), mega
+
+
+class RecordingArena(LiveArena):
+    """A live arena that logs each forward's takes and releases.
+
+    Every view it hands out is first filled with NaN, and must hold no
+    NaN when it is released (or when the forward ends): a buffer that is
+    taken but never written, or read before it is written, shows up.
+    """
+
+    def begin(self):
+        super().begin()
+        self.events = []
+        self._views = {}
+
+    def take(self, name, shape, dtype=np.float64):
+        view = super().take(name, shape, dtype)
+        view.fill(np.nan)
+        self._views[name] = view
+        self.events.append((name, view.nbytes))
+        return view
+
+    def release(self, name):
+        view = self._views.pop(name)
+        _assert_written(name, view)
+        super().release(name)
+        self.events.append((name, -view.nbytes))
+
+    def closed_events(self):
+        """This forward's events, closed by a free of every buffer still
+        live, in take order, as the planner closes its plan."""
+        for name, view in self._views.items():
+            _assert_written(name, view)
+        return self.events + [
+            (name, -view.nbytes) for name, view in self._views.items()
+        ]
+
+
+def _assert_written(name, view):
+    unwritten = int(np.isnan(view).sum())
+    if unwritten:
+        raise AssertionError(
+            f"arena buffer {name} {view.shape}: {unwritten} of {view.size} "
+            "elements never written"
+        )
+
+
+def _plan_events(plan):
+    return [(event.tensor, event.bytes) for event in plan]
 
 
 class TestArenaMechanics:
@@ -122,38 +190,77 @@ class TestArenaMechanics:
         buckets = build_buckets(packing)
         assert len(buckets) > 1
         arena = LiveArena()
-        for _ in range(2):
+        for kernel in ("short", "short", "long"):
             arena.begin()
             bufs = acquire_bucket_scratch(
-                arena, buckets, CONFIG.num_heads, CONFIG.head_size,
+                arena, kernel, buckets, CONFIG.num_heads, CONFIG.head_size,
                 np.dtype(np.float64),
             )
             arrays = [a for per_bucket in bufs for a in per_bucket.values()]
+            assert arrays
             for i, x in enumerate(arrays):
                 for y in arrays[i + 1:]:
                     assert not np.shares_memory(x, y)
-            release_bucket_scratch(arena, len(buckets))
+            release_bucket_scratch(arena, bufs)
+
+
+#: short-kernel limit of the generated forwards: their lengths cross it
+SHORT_LIMIT = 24
 
 
 class TestPlannerAgreement:
     @pytest.mark.parametrize("case", sorted(LENGTH_CASES))
     def test_observed_peak_within_offline_prediction(self, case):
+        # the plan is not just an upper bound: it is the take sequence
         lengths = LENGTH_CASES[case]
         x, mask = _batch(lengths)
-        model = BertEncoderModel(CONFIG, opt=FUSED, arena=LiveArena())
-        for _ in range(2):
-            model.forward(x, mask)
-        trace = plan_live_forward(
-            CONFIG, FUSED, np.array(lengths), MAX_SEQ, dtype=x.dtype
-        )
-        assert model.arena.peak_live_bytes <= peak_live_bytes(trace)
-        predicted_arena = ArenaAllocator(model.arena.alignment).replay(trace)
-        assert model.arena.footprint_bytes <= predicted_arena
-        assert model.arena.in_steady_state
-        # converged: one more forward performs zero overflow allocations
-        overflow_before = model.arena.overflow_allocs
+        model = BertEncoderModel(CONFIG, opt=FUSED, arena=RecordingArena())
         model.forward(x, mask)
-        assert model.arena.overflow_allocs == overflow_before
+        trace = plan_live_forward(
+            CONFIG, FUSED, np.array(lengths), MAX_SEQ,
+            device=A100_SPEC, dtype=x.dtype,
+        )
+        assert model.arena.closed_events() == _plan_events(trace)
+        predicted_arena = ArenaAllocator(model.arena.alignment).replay(trace)
+        for _ in range(2):  # reserved from the plan before the first
+            assert model.arena.footprint_bytes == predicted_arena
+            assert model.arena.in_steady_state
+            assert model.arena.overflow_allocs == 0
+            model.forward(x, mask)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        lengths=st.lists(
+            st.integers(1, 2 * SHORT_LIMIT), min_size=1, max_size=5
+        ),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        path=st.sampled_from([None, "zeropad", "cublas"]),
+        preset=st.sampled_from([FUSED, RM_PADDING]),
+        megabatch=st.booleans(),
+    )
+    def test_plan_equals_take_sequence(
+        self, lengths, dtype, path, preset, megabatch
+    ):
+        opt = dataclasses.replace(preset, fused_mha_short_max_seq=SHORT_LIMIT)
+        config = dataclasses.replace(CONFIG, num_layers=1)
+        model = BertEncoderModel(
+            config, opt=opt, seed=3, arena=RecordingArena()
+        )
+        max_seq = 2 * SHORT_LIMIT
+        tile = None
+        with force_mha_path(path):
+            if megabatch:
+                tile = 16 * (-(-sum(lengths) // 16))
+                x_tile, mega = _megabatch(lengths, max_seq, tile, dtype)
+                model.forward_packed(x_tile, mega)
+            else:
+                x, mask = _batch(lengths, dtype=dtype, max_seq=max_seq)
+                model.forward(x, mask)
+        plan = plan_live_forward(
+            config, opt, np.array(lengths), max_seq,
+            device=A100_SPEC, mha=path, dtype=dtype, tile=tile,
+        )
+        assert model.arena.closed_events() == _plan_events(plan)
 
 
 class TestBitParity:
@@ -220,6 +327,98 @@ class TestPlanDrivenPresize:
             x, mask = _batch(LENGTH_CASES[case])
             model.forward(x, mask)
         assert arena.overflow_allocs == 0
+
+
+class TestPlanReserveKeys:
+    """The arena reserve is keyed by every input its plan reads."""
+
+    TILE = 256
+
+    def _model(self, arena=None):
+        config = dataclasses.replace(CONFIG, num_layers=1)
+        return BertEncoderModel(
+            config, opt=FUSED, seed=3, arena=arena or LiveArena()
+        )
+
+    def test_tile_reserve_follows_max_seq_len(self):
+        model = self._model()
+        model.prereserve_tiles((self.TILE,), 64, np.float64)
+        x_tile, mega = _megabatch([256], 256, self.TILE, np.float64)
+        model.forward_packed(x_tile, mega)
+        assert model.arena.overflow_allocs == 0
+
+    def test_tile_reserve_follows_dtype(self):
+        model = self._model()
+        model.prereserve_tiles((self.TILE,), 256, np.float32)
+        x_tile, mega = _megabatch([256], 256, self.TILE, np.float64)
+        model.forward_packed(x_tile, mega)
+        assert model.arena.overflow_allocs == 0
+
+    def test_shape_reserve_follows_dispatch_device(self):
+        # a 360-token sequence runs the long kernel on a device whose
+        # 40 KiB of shared memory cannot hold its short-kernel tiles;
+        # that smaller plan must not stand in for the A100's short one
+        small = dataclasses.replace(
+            A100_SPEC, name="small-smem", max_shared_mem_per_block=40 * 1024
+        )
+        model = self._model(RecordingArena())
+        x, mask = _batch([360, 13], dtype=np.float64, max_seq=368)
+        for device in (small, A100_SPEC):
+            model.forward(x, mask, ctx=ExecutionContext(device))
+            plan = plan_live_forward(
+                model.config, FUSED, np.array([360, 13]), 368,
+                device=device, dtype=np.float64,
+            )
+            assert model.arena.closed_events() == _plan_events(plan)
+        assert model.arena.overflow_allocs == 0
+
+
+class TestMegabatchAcrossKernelBoundary:
+    """A tile whose max_seq_len is past the short limit holds both
+    kernels' compositions from its first megabatch."""
+
+    TILE = 1024
+    MAX_SEQ = 512
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "short_max, lengths",
+        [
+            (384, [384, 384, 256]),
+            (384, [512, 511, 1]),
+            (384, [400, 350, 270, 4]),
+            # a short limit so low that the long kernel's fp64 tiles,
+            # one per distinct length, outgrow the short kernel's plan
+            (16, [16] * 64),
+            (16, [512, 511, 1]),
+        ],
+        ids=[
+            "all-short", "all-long-distinct", "long-and-short-buckets",
+            "low-limit-all-short", "low-limit-all-long-distinct",
+        ],
+    )
+    def test_first_megabatch_never_overflows(self, short_max, lengths, dtype):
+        config = dataclasses.replace(CONFIG, num_layers=1)
+        opt = dataclasses.replace(FUSED, fused_mha_short_max_seq=short_max)
+        model = BertEncoderModel(config, opt=opt, seed=3, arena=LiveArena())
+        model.prereserve_tiles((self.TILE,), self.MAX_SEQ, dtype)
+        x_tile, mega = _megabatch(lengths, self.MAX_SEQ, self.TILE, dtype)
+        model.forward_packed(x_tile, mega)
+        assert model.arena.overflow_allocs == 0
+
+    def test_reserve_is_the_larger_plan(self):
+        config = dataclasses.replace(CONFIG, num_layers=1)
+        plans = plan_live_megabatch(
+            config, FUSED, self.TILE, self.MAX_SEQ,
+            device=A100_SPEC, dtype=np.float64,
+        )
+        assert len(plans) == 2  # one per kernel
+        model = BertEncoderModel(config, opt=FUSED, arena=LiveArena())
+        model.prereserve_tiles((self.TILE,), self.MAX_SEQ, np.float64)
+        model.arena.begin()
+        assert model.arena.footprint_bytes == max(
+            ArenaAllocator(model.arena.alignment).replay(p) for p in plans
+        )
 
 
 class TestScratchPool:
