@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.hashing import cached_hash
 
+
+@cached_hash
 @dataclass(frozen=True)
 class BertConfig:
     """Architecture of a BERT-style encoder stack."""
@@ -51,6 +54,7 @@ class BertConfig:
 STANDARD_BERT = BertConfig()
 
 
+@cached_hash
 @dataclass(frozen=True)
 class OptimizationConfig:
     """Which ByteTransformer optimisations are active.

@@ -118,7 +118,8 @@ class BertEncoderModel:
         # the forward path never re-slices parameters
         self.weights.precompute(self.config.num_heads)
         #: every input of each arena plan already reserved (tile or
-        #: lengths, max_seq_len, dtype, forced path, dispatch device)
+        #: lengths, max_seq_len, dtype, forced path, dispatch device;
+        #: a chunked megabatch's output plan is keyed by tile and dtype)
         self._reserved_plans: set[tuple] = set()
 
     def forward(
@@ -158,7 +159,8 @@ class BertEncoderModel:
         # shape, preset, dispatch override, mask) — never on x's values —
         # so same-key forwards replay the captured stream into the
         # caller's context (hooks fire per replayed launch) while the
-        # numerics run launch-free under a NullContext
+        # numerics run launch-free under a NullContext on the caller's
+        # device, which picks the kernels the capture ran
         key = (
             context.device,
             self.config,
@@ -178,7 +180,7 @@ class BertEncoderModel:
             self.graph_cache.put(key, graph)
         else:
             out = self._forward_numeric(
-                flat, mask, batch, seq_len, NullContext()
+                flat, mask, batch, seq_len, NullContext(context.device)
             )
         graph.replay(context)
         return out.reshape(batch, seq_len, hidden)
@@ -379,7 +381,16 @@ class BertEncoderModel:
             and np.issubdtype(dt, np.floating)
         )
         if use_arena:
-            self.prereserve_tiles((mega.tile,), packing.max_seq_len, dt)
+            if chunks is None:
+                self.prereserve_tiles((mega.tile,), packing.max_seq_len, dt)
+            else:
+                # the chunk workers take nothing from the arena but the
+                # [tile, H] output
+                key = ("output", mega.tile, dt.str)
+                if key not in self._reserved_plans:
+                    plan = ActivationTrace()
+                    plan.take("output", (mega.tile, hidden), dt)
+                    self._reserve(key, [plan])
             arena.begin()
         if chunks is not None:
             out = (

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.hashing import cached_hash
 
+
+@cached_hash
 @dataclass(frozen=True)
 class ShardSpec:
     """One rank's position in a tensor-parallel group.

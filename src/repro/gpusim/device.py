@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.hashing import cached_hash
 
+
+@cached_hash
 @dataclass(frozen=True)
 class DeviceSpec:
     """Architectural parameters of a simulated GPU.

@@ -43,9 +43,8 @@ counters that :mod:`repro.gpusim.profiler` surfaces.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Any, Callable, Hashable
 
 from repro.gpusim.device import DeviceSpec
@@ -245,6 +244,14 @@ class GraphCache:
     exactly the invalidation rule: a new lengths signature, a different
     preset or a forced attention path is a different key, and a fault
     only aborts one replay without touching the stored graph.
+
+    A warm lookup hashes its key once.  Each entry is a ``[graph,
+    last-use stamp]`` pair, and a hit bumps the stamp in place rather
+    than reordering the dict (``OrderedDict.move_to_end`` hashes the key
+    a second time).  A put that overflows the capacity evicts the entry
+    with the oldest stamp: the least recently used one, as before.  The
+    frozen specs inside a key hash their fields once per object (see
+    :func:`repro.hashing.cached_hash`), so a warm key hashes in O(1).
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -259,7 +266,9 @@ class GraphCache:
         self.captures = 0
         self.replays = 0
         self._kind_counts: dict[str, dict[str, int]] = {}
-        self._entries: OrderedDict[Hashable, LaunchGraph] = OrderedDict()
+        #: key -> [graph, last-use stamp]
+        self._entries: dict[Hashable, list] = {}
+        self._clock = count()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -282,11 +291,11 @@ class GraphCache:
             return key[0]
         return "model"
 
-    def _bump(self, key: Hashable, counter: str) -> None:
-        kind = self._kind_counts.setdefault(
-            self._kind_of(key), {"captures": 0, "replays": 0}
-        )
-        kind[counter] += 1
+    def _bump(self, kind: str, counter: str) -> None:
+        counts = self._kind_counts.get(kind)
+        if counts is None:
+            counts = self._kind_counts[kind] = {"captures": 0, "replays": 0}
+        counts[counter] += 1
 
     def kind_counts(self) -> dict[str, dict[str, int]]:
         """Eager-capture vs replay counts per key kind.
@@ -303,15 +312,18 @@ class GraphCache:
 
     def get(self, key: Hashable) -> LaunchGraph | None:
         """The cached graph for ``key``, or ``None`` (counted as a miss)."""
-        graph = self._entries.get(key)
-        if graph is None:
+        return self._get(key, self._kind_of(key))
+
+    def _get(self, key: Hashable, kind: str) -> LaunchGraph | None:
+        entry = self._entries.get(key)
+        if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        entry[1] = next(self._clock)
         self.hits += 1
         self.replays += 1
-        self._bump(key, "replays")
-        return graph
+        self._bump(kind, "replays")
+        return entry[0]
 
     def put(self, key: Hashable, graph: LaunchGraph) -> LaunchGraph:
         """Insert ``graph`` under ``key``, evicting the LRU entry if full.
@@ -319,12 +331,19 @@ class GraphCache:
         A ``put`` is counted as a capture: both call sites freeze a
         freshly-run eager stream immediately before storing it.
         """
-        self._entries[key] = graph
-        self._entries.move_to_end(key)
+        return self._put(key, graph, self._kind_of(key))
+
+    def _put(
+        self, key: Hashable, graph: LaunchGraph, kind: str
+    ) -> LaunchGraph:
+        self._entries[key] = [graph, next(self._clock)]
         self.captures += 1
-        self._bump(key, "captures")
+        self._bump(kind, "captures")
         if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            oldest, _ = min(
+                self._entries.items(), key=lambda item: item[1][1]
+            )
+            del self._entries[oldest]
             self.evictions += 1
         return graph
 
@@ -353,14 +372,14 @@ class GraphCache:
         if tel is not None and not tel.owns_current_thread():
             tel = None
         kind = self._kind_of(key)
-        graph = self.get(key)
+        graph = self._get(key, kind)
         if graph is None:
             if tel is not None:
                 tel.tracer.instant(
                     "graph.capture", category="graph", key_kind=kind
                 )
             graph, _ = capture(ctx.device, fn, cluster=ctx.cluster)
-            self.put(key, graph)
+            self._put(key, graph, kind)
         if tel is None:
             return graph.replay(ctx)
         span = tel.tracer.begin(

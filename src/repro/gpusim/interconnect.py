@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 from repro.gpusim.device import A100_SPEC, DeviceSpec
 from repro.gpusim.errors import LaunchConfigError
 from repro.gpusim.kernel import KernelLaunch
+from repro.hashing import cached_hash
 
 #: kernel category every collective launch carries; the profiler, the
 #: Chrome exporter's interconnect lane and the bench comm/compute split
@@ -107,6 +108,7 @@ PCIE4_LINK = LinkSpec(
 )
 
 
+@cached_hash
 @dataclass(frozen=True)
 class ClusterSpec:
     """N identical devices joined by one link model.

@@ -256,10 +256,15 @@ class ExecutionContext:
 
 
 class NullContext(ExecutionContext):
-    """Context that prices nothing — for numerics-only runs."""
+    """Context that prices nothing — for numerics-only runs.
 
-    def __init__(self) -> None:
-        super().__init__(A100_SPEC)
+    ``device`` is the device kernels dispatch for (attention picks its
+    kernel from the device's limits), so numerics run launch-free on
+    the caller's device give the bits its priced run gives.
+    """
+
+    def __init__(self, device: DeviceSpec = A100_SPEC) -> None:
+        super().__init__(device)
 
     def launch(self, launch: KernelLaunch) -> KernelRecord:  # noqa: D102
         return KernelRecord(launch=launch, time_us=0.0, start_us=0.0)

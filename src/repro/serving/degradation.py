@@ -21,6 +21,7 @@ assert the exact degradation story.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from repro.attention.dispatch import MHA_PATHS
 from repro.telemetry import current_telemetry
@@ -130,6 +131,7 @@ class DegradationLadder:
         self.cooldown_us = cooldown_us
         self.transitions: list[LadderTransition] = []
         self._idx = 0
+        #: a min-heap of the times of incidents inside the window
         self._incidents: list[float] = []
         self._cooldown_until = 0.0
 
@@ -183,7 +185,7 @@ class DegradationLadder:
 
     def _incident(self, now_us: float, kind: str) -> None:
         self._prune(now_us)
-        self._incidents.append(now_us)
+        heappush(self._incidents, now_us)
         if (
             len(self._incidents) >= self.trip_threshold
             and self._idx < len(self.levels) - 1
@@ -193,8 +195,17 @@ class DegradationLadder:
             self._cooldown_until = now_us + self.cooldown_us
 
     def _prune(self, now_us: float) -> None:
+        """Drop the incidents at or before ``now_us - window_us``.
+
+        Incident times are not in order on multi-device runs, so the
+        earliest is popped off a heap until one is inside the window:
+        the survivors are exactly those a filter ``t > horizon`` over
+        every incident would keep, in time proportional to what expires.
+        """
         horizon = now_us - self.window_us
-        self._incidents = [t for t in self._incidents if t > horizon]
+        incidents = self._incidents
+        while incidents and incidents[0] <= horizon:
+            heappop(incidents)
 
     def _step(self, now_us: float, to_idx: int, reason: str) -> None:
         from_level = self.levels[self._idx].name

@@ -36,8 +36,6 @@ it has:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.gpusim.errors import TransientFault
@@ -273,11 +271,7 @@ class ServingLoop:
                     # the deadline expired while queued at the gateway
                     self.miss_deadline(orig, sched.release_us)
                     continue
-            admitted.append(
-                replace(
-                    orig, arrival_us=sched.release_us, deadline_us=deadline
-                )
-            )
+            admitted.append(orig.reanchored(sched.release_us, deadline))
         return admitted
 
     # ------------------------------------------------------------------

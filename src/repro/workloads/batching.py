@@ -378,25 +378,31 @@ class ContinuousBatcher(Batcher):
             tel = None
         plan: list[Dispatch] = []
         waiting: list[Request] = []
+        #: valid tokens in ``waiting``, kept as requests join and leave
+        waiting_tokens = 0
+
+        def cut(ready_us: float) -> None:
+            nonlocal waiting_tokens
+            dispatch = self._cut(waiting, ready_us)
+            waiting_tokens -= dispatch.total_tokens
+            plan.append(dispatch)
+
         for request in trace.requests:
             # flush any megabatch whose head ages out — or would burn
             # too much of its deadline budget — before this arrival
             while waiting and (
                 request.arrival_us > self._head_due_us(waiting[0])
             ):
-                plan.append(
-                    self._cut(waiting, self._head_due_us(waiting[0]))
-                )
+                cut(self._head_due_us(waiting[0]))
             waiting.append(request)
+            waiting_tokens += request.seq_len
             if tel is not None:
                 tel.metrics.counter(
                     "batcher_admitted_total",
                     help="requests admitted into the rolling megabatch",
                 ).inc()
-            while (
-                sum(r.seq_len for r in waiting) >= self.token_budget
-            ):
-                plan.append(self._cut(waiting, request.arrival_us))
+            while waiting_tokens >= self.token_budget:
+                cut(request.arrival_us)
         while waiting:
             plan.append(self._cut(waiting, self._head_due_us(waiting[0])))
         plan.sort(key=lambda d: d.ready_us)

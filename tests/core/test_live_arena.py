@@ -373,6 +373,24 @@ class TestPlanReserveKeys:
         assert model.arena.overflow_allocs == 0
 
 
+class TestChunkedMegabatchReserve:
+    def test_thread_fanout_reserves_only_the_output(self):
+        # the chunk workers run launch-free without the arena: a chunked
+        # megabatch takes nothing from it but its [tile, H] output
+        lengths, tile = [100, 90, 80, 60], 512
+        x_tile, mega = _megabatch(lengths, 128, tile, np.float64)
+        serial = BertEncoderModel(CONFIG, opt=FUSED, seed=3)
+        want = serial.forward_packed(x_tile.copy(), mega)
+        arena = LiveArena()
+        model = BertEncoderModel(CONFIG, opt=FUSED, seed=3, arena=arena)
+        with use_workers(2):
+            got = model.forward_packed(x_tile.copy(), mega)
+        out_bytes = tile * CONFIG.hidden_size * np.dtype(np.float64).itemsize
+        assert arena.footprint_bytes == out_bytes
+        assert arena.overflow_allocs == 0
+        assert np.array_equal(got, want)
+
+
 class TestMegabatchAcrossKernelBoundary:
     """A tile whose max_seq_len is past the short limit holds both
     kernels' compositions from its first megabatch."""

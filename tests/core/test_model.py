@@ -123,3 +123,33 @@ class TestValidation:
             model.forward(
                 small_batch.x[:, :, :-1], small_batch.mask
             )
+
+
+class TestGraphReplayDevice:
+    def test_replay_numerics_run_on_the_callers_device(self):
+        # with 40 KiB of shared memory a 360-token sequence at head size
+        # 16 runs the long kernel; a replay whose numerics ran on the
+        # A100 would take the short one and change the bits
+        import dataclasses
+
+        from repro.gpusim.device import A100_SPEC
+        from repro.gpusim.graph import GraphCache
+
+        small = dataclasses.replace(
+            A100_SPEC, name="small-smem", max_shared_mem_per_block=40 * 1024
+        )
+        config = BertConfig(num_heads=4, head_size=16, num_layers=2)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 368, config.hidden_size)).astype(np.float32)
+        mask = np.zeros((2, 368), dtype=np.int64)
+        mask[0, :360] = 1
+        mask[1, :13] = 1
+        plain = BertEncoderModel(config, FUSED_MHA, seed=3)
+        want = plain.forward(x, mask, ctx=ExecutionContext(small))
+        cached = BertEncoderModel(
+            config, FUSED_MHA, seed=3, graph_cache=GraphCache()
+        )
+        for _ in range(3):  # capture, then two replays
+            got = cached.forward(x, mask, ctx=ExecutionContext(small))
+            assert np.array_equal(got, want)
+        assert cached.graph_cache.hits == 2

@@ -1,6 +1,8 @@
 """Degradation ladder: trip-down, cool-down recovery, transition log."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving.degradation import (
     DEFAULT_LEVELS,
@@ -101,3 +103,45 @@ class TestLadder:
             DegradationLadder(trip_threshold=0)
         with pytest.raises(ValueError, match="positive"):
             DegradationLadder(window_us=0.0)
+
+
+class FilterLadder(DegradationLadder):
+    """The window as a filter over every incident on each call."""
+
+    def _prune(self, now_us):
+        horizon = now_us - self.window_us
+        self._incidents = [t for t in self._incidents if t > horizon]
+
+
+#: on a grid that lands incidents exactly on a later call's horizon,
+#: or anywhere
+times = st.one_of(
+    st.integers(0, 40).map(lambda k: k * 250.0),
+    st.floats(0.0, 10_000.0, allow_nan=False),
+)
+events = st.lists(
+    st.tuples(st.sampled_from(("fault", "miss", "burn", "ok")), times),
+    max_size=60,
+)
+
+
+class TestWindowPruning:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(events=events, threshold=st.integers(1, 4))
+    def test_prune_keeps_the_filters_survivors(self, events, threshold):
+        # multi-device runs report incidents out of time order
+        kwargs = dict(
+            trip_threshold=threshold, window_us=1000.0, cooldown_us=2000.0
+        )
+        heap, ref = DegradationLadder(**kwargs), FilterLadder(**kwargs)
+        for kind, t in events:
+            for l in (heap, ref):
+                {
+                    "fault": l.record_fault,
+                    "miss": l.record_deadline_miss,
+                    "burn": l.record_budget_burn,
+                    "ok": l.record_success,
+                }[kind](t)
+            assert sorted(heap._incidents) == sorted(ref._incidents)
+            assert heap.level == ref.level
+        assert heap.transitions == ref.transitions

@@ -63,7 +63,7 @@ class TestChaosReplayOverGraphCache:
         # a mid-replay fault aborted that call only, never the cache
         from repro.gpusim.stream import ExecutionContext
 
-        for graph in runtime.graph_cache._entries.values():
+        for graph, _ in runtime.graph_cache._entries.values():
             ctx = ExecutionContext(runtime.device)
             assert graph.replay(ctx) == graph.modelled_us
             assert len(ctx.records) == len(graph)

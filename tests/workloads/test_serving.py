@@ -1,10 +1,17 @@
 """Serving-trace emulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.workloads.generator import LengthDistribution
-from repro.workloads.serving import Request, ServingTrace, make_trace
+from repro.workloads.serving import (
+    GenerationRequest,
+    Request,
+    ServingTrace,
+    make_trace,
+)
 
 
 class TestTrace:
@@ -110,3 +117,24 @@ class TestDeadlines:
         for r in trace.requests:
             assert r.deadline_us == 750.0
             assert r.absolute_deadline_us == r.arrival_us + 750.0
+
+
+class TestReanchored:
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            Request(3, 10.0, 64, 500.0, "interactive"),
+            Request(4, 11.0, 32),
+            GenerationRequest(5, 12.0, 16, 400.0, "chat", decode_tokens=7),
+        ],
+        ids=["request", "no-deadline", "generation"],
+    )
+    @pytest.mark.parametrize("deadline", [120.0, None])
+    def test_equals_replace_and_keeps_every_field(self, request_, deadline):
+        moved = request_.reanchored(40.0, deadline)
+        want = dataclasses.replace(
+            request_, arrival_us=40.0, deadline_us=deadline
+        )
+        assert type(moved) is type(request_)
+        assert moved == want
+        assert dataclasses.asdict(moved) == dataclasses.asdict(want)
