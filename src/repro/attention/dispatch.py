@@ -86,17 +86,20 @@ def byte_mha(
     category: str = "attention",
     out: np.ndarray | None = None,
     scratch: LiveArena | None = None,
+    kernel: str | None = None,
 ) -> np.ndarray:
     """ByteTransformer's fused MHA: pick the short or long kernel.
 
     Packed ``[T, 3H]`` in, packed ``[T, H]`` out; bias fused either way.
     ``out``/``scratch`` are forwarded to whichever path runs (the
     zeropad fallback honours ``out`` only — its padded intermediates are
-    layout-dependent and stay allocating).
+    layout-dependent and stay allocating).  ``kernel`` is a choice
+    already made for a larger batch that ``packing`` is a chunk of: the
+    two kernels round differently in fp32, so a chunk must run the
+    whole batch's kernel to keep its bits.
     """
     hidden = qkv_packed.shape[1] // 3
     head_size = hidden // num_heads
-    max_len = int(packing.seq_lens.max())
     context = resolve_context(ctx)
     if _forced_path in ("zeropad", "cublas"):
         # Degraded dispatch: fall back to the conservative batched-GEMM
@@ -107,7 +110,11 @@ def byte_mha(
             qkv_packed, qkv_bias, packing, num_heads, ctx=context,
             category=category, out=out,
         )
-    kernel = mha_kernel(max_len, head_size, short_max_seq, context.device)
+    if kernel is None:
+        kernel = mha_kernel(
+            int(packing.seq_lens.max()), head_size, short_max_seq,
+            context.device,
+        )
     if kernel == "short":
         return fused_short_mha(
             qkv_packed, qkv_bias, packing, num_heads, ctx=context,

@@ -32,7 +32,7 @@ from repro.attention.bucketed import (
 from repro.core.engine import is_vectorized
 from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
-from repro.core.parallel import current_executor
+from repro.core.parallel import current_executor, one_blas_thread
 from repro.gpusim.memory import BYTES_PER_FP32
 from repro.gpusim.stream import ExecutionContext, resolve_context
 from repro.kernels.grouped_gemm import (
@@ -59,6 +59,7 @@ from repro.kernels.reduction import (
 FMHA_GROUPED_EFFICIENCY = 0.23
 
 
+@one_blas_thread
 def fused_long_mha(
     qkv_packed: np.ndarray,
     qkv_bias: np.ndarray,

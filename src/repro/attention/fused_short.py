@@ -26,6 +26,7 @@ from repro.attention.bucketed import bucketed_sdpa
 from repro.core.engine import is_vectorized
 from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
+from repro.core.parallel import one_blas_thread
 from repro.gpusim.kernel import ComputeUnit, KernelLaunch
 from repro.gpusim.memory import BYTES_PER_ELEMENT, BYTES_PER_FP32
 from repro.gpusim.stream import ExecutionContext, resolve_context
@@ -148,6 +149,7 @@ def fused_short_launch(
     )
 
 
+@one_blas_thread
 def fused_short_mha(
     qkv_packed: np.ndarray,
     qkv_bias: np.ndarray,

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from repro.core.padding import PackedSeqs
+from repro.core.parallel import one_blas_thread
 from repro.gpusim.stream import ExecutionContext, resolve_context
 from repro.kernels.batched_gemm import batched_gemm
 from repro.kernels.softmax import zeropad_softmax
@@ -25,6 +26,7 @@ from repro.kernels.transpose import (
 )
 
 
+@one_blas_thread
 def zeropad_softmax_mha(
     qkv_packed: np.ndarray,
     qkv_bias: np.ndarray,

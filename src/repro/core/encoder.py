@@ -188,6 +188,7 @@ def encoder_layer_packed(
     ctx: ExecutionContext | None = None,
     scratch: LiveArena | None = None,
     out: np.ndarray | None = None,
+    kernel: str | None = None,
 ) -> np.ndarray:
     """One encoder layer on a packed ``[T, H]`` activation tensor.
 
@@ -207,6 +208,10 @@ def encoder_layer_packed(
     covers all of ``packing``'s segments — whether that is a single
     request's buckets or a whole cross-request megabatch tile — rather
     than a call per segment.  Same launches, same bits, one dispatch.
+
+    ``kernel`` pins the fused-MHA kernel (see
+    :func:`~repro.attention.dispatch.byte_mha`) when ``packing`` is one
+    chunk of a larger batch.
     """
     if not opt.remove_padding:
         raise ValueError(
@@ -257,6 +262,7 @@ def encoder_layer_packed(
             ctx=context,
             out=attn,
             scratch=scratch,
+            kernel=kernel,
         )
     else:
         attn = zeropad_softmax_mha(

@@ -18,6 +18,12 @@ Two steady-state accelerators bolt on per instance:
   captures the full kernel-launch stream; same-key forwards replay it
   into the caller's context (bit-identical records, hooks still fire)
   instead of re-pricing every kernel.
+
+A numerics-only forward (every graph replay, every megabatch) fans its
+packed segments out in contiguous chunks over the current executor —
+by default one worker per usable host core — each chunk taking its
+scratch from its own lane of the arena; the bits are the serial
+forward's.
 """
 
 from __future__ import annotations
@@ -35,25 +41,53 @@ from repro.core.memory_planner import (
     ActivationTrace,
     ArenaAllocator,
     LiveArena,
+    attention_kernel,
+    plan_fanned_forward,
     plan_live_forward,
     plan_live_megabatch,
 )
 from repro.core.padding import (
     CrossRequestPacking,
+    PackedSeqs,
     pack,
     packing_from_lengths,
     packing_from_mask,
     unpack,
 )
-from repro.core.parallel import current_executor, partition_weighted
+from repro.core.parallel import (
+    SERIAL_EXECUTOR,
+    current_executor,
+    partition_weighted,
+    use_executor,
+)
 from repro.core.sharding import ShardSpec
 from repro.core.weights import ModelWeights, init_model_weights
+from repro.gpusim.device import DeviceSpec
 from repro.gpusim.graph import GraphCache, capture
 from repro.gpusim.stream import (
     ExecutionContext,
     NullContext,
     resolve_context,
 )
+
+
+#: the segment length at which a segment's attention (len² per
+#: segment) costs the host as much as its row-wise work (GEMMs, GELU,
+#: layernorm: len per segment); see :func:`segment_work`
+ATTENTION_BREAK_EVEN_LEN = 800
+
+
+def segment_work(seq_lens: np.ndarray) -> np.ndarray:
+    """Host work of each segment of a forward, for chunk balancing.
+
+    ``len + len² / ATTENTION_BREAK_EVEN_LEN``: the row-wise layers scale
+    with a segment's tokens and attention with their square, so
+    balancing tokens alone overloads the chunk with the long segments
+    (the Σlen² balance of the unpadded-BERT scaling literature), and
+    balancing squares alone overloads the one with the many short ones.
+    """
+    lens = np.asarray(seq_lens, dtype=np.float64)
+    return lens + lens * lens / ATTENTION_BREAK_EVEN_LEN
 
 
 @dataclass(frozen=True)
@@ -90,6 +124,9 @@ class BertEncoderModel:
         Optional :class:`GraphCache` for launch-stream capture/replay.
     """
 
+    #: reserved plans remembered per model
+    RESERVED_PLANS = 1024
+
     def __init__(
         self,
         config: BertConfig | None = None,
@@ -118,9 +155,9 @@ class BertEncoderModel:
         # the forward path never re-slices parameters
         self.weights.precompute(self.config.num_heads)
         #: every input of each arena plan already reserved (tile or
-        #: lengths, max_seq_len, dtype, forced path, dispatch device;
-        #: a chunked megabatch's output plan is keyed by tile and dtype)
-        self._reserved_plans: set[tuple] = set()
+        #: lengths, max_seq_len, dtype, forced path, dispatch device,
+        #: chunks) → the lane sizes of its fanned plan, if any
+        self._reserved_plans: dict[tuple, list[int] | None] = {}
 
     def forward(
         self,
@@ -280,88 +317,207 @@ class BertEncoderModel:
             key = (tile, max_seq_len, np.dtype(dtype).str, path, device)
             if key not in self._reserved_plans:
                 self._reserve(
-                    key,
                     plan_live_megabatch(
                         self.config, self.opt, tile, max_seq_len,
                         device=device, mha=path, dtype=dtype,
                     ),
                 )
+                self._reserved_plans[key] = None
 
-    def _reserve(self, key: tuple, plans: list[ActivationTrace]) -> None:
-        """Reserve the largest replay of ``plans``, the plans of ``key``."""
+    def _reserve(self, plans: list[ActivationTrace]) -> None:
+        """Reserve the largest replay of ``plans``."""
         alignment = self.arena.alignment
         self.arena.reserve(
             max(ArenaAllocator(alignment).replay(p) for p in plans)
         )
-        self._reserved_plans.add(key)
+
+    def _reserve_forward(
+        self,
+        packing: PackedSeqs,
+        dtype: np.dtype,
+        device: DeviceSpec,
+        chunks: list[tuple[int, int]] | None,
+        tile: int | None = None,
+    ) -> list[int] | None:
+        """Reserve the backing for one forward's plans; the lane sizes.
+
+        A padded-input forward (``tile`` is ``None``) reserves the
+        larger of its serial plan and, when ``chunks`` would fan it
+        out, its fanned plan (:func:`plan_fanned_forward`).  A capture
+        runs serially and its replays fan out, so both are in place
+        from the first forward and a replay never grows the backing.  A
+        megabatch's serial plan is its tile's
+        (:meth:`prereserve_tiles`), so only a fanned one plans here.
+        Keyed by every input the plans read.
+        """
+        path = forced_mha_path()
+        key = (
+            packing.seq_lens.tobytes(),
+            packing.max_seq_len,
+            dtype.str,
+            path,
+            device,
+            tile,
+            None if chunks is None else tuple(chunks),
+        )
+        if key in self._reserved_plans:
+            return self._reserved_plans[key]
+        plans, lanes = [], None
+        if tile is None:
+            plans.append(
+                plan_live_forward(
+                    self.config, self.opt, packing.seq_lens,
+                    packing.max_seq_len, device=device, mha=path,
+                    dtype=dtype,
+                )
+            )
+        if chunks is not None:
+            alignment = self.arena.alignment
+            fanned, lane_plans = plan_fanned_forward(
+                self.config, self.opt, packing.seq_lens,
+                packing.max_seq_len, chunks, device=device, mha=path,
+                dtype=dtype, tile=tile, alignment=alignment,
+            )
+            plans.append(fanned)
+            lanes = [ArenaAllocator(alignment).replay(p) for p in lane_plans]
+        self._reserve(plans)
+        if len(self._reserved_plans) >= self.RESERVED_PLANS:
+            # megabatch compositions are unbounded: forget the oldest
+            # (reserving again only recomputes its plans)
+            del self._reserved_plans[next(iter(self._reserved_plans))]
+        self._reserved_plans[key] = lanes
+        return lanes
 
     def _segment_chunks(
-        self, mega: CrossRequestPacking
+        self, packing: PackedSeqs
     ) -> list[tuple[int, int]] | None:
         """Deterministic contiguous segment chunks for executor fan-out.
 
         ``None`` when fan-out cannot pay: a serial executor, a single
         segment, or fewer than two resulting chunks.  Chunks are
-        balanced by segment token count (the row count every projection
-        GEMM scales with) via
+        balanced by segment work (:func:`segment_work`) via
         :func:`~repro.core.parallel.partition_weighted`, so the same
-        megabatch always splits identically — the deterministic
+        lengths always split identically — the deterministic
         segment→worker assignment behind the bitwise contract.
         """
         executor = current_executor()
-        if executor.workers <= 1 or mega.num_segments <= 1:
+        if executor.workers <= 1 or packing.batch <= 1:
             return None
         chunks = partition_weighted(
-            mega.packing.seq_lens, executor.workers
+            segment_work(packing.seq_lens), executor.workers
         )
         return chunks if len(chunks) > 1 else None
 
-    def _run_packed_chunks(
+    def _layer_stack(
         self,
-        x_valid: np.ndarray,
-        mega: CrossRequestPacking,
-        chunks: list[tuple[int, int]],
-        out: np.ndarray,
+        cur: np.ndarray,
+        packing: PackedSeqs,
+        context: ExecutionContext,
+        *,
+        scratch: LiveArena | None = None,
+        nxt: np.ndarray | None = None,
+        kernel: str | None = None,
     ) -> np.ndarray:
-        """Fan the megabatch's segment chunks out over the executor.
+        """Every layer over the packed rows ``cur``; returns the result.
 
-        Each worker runs the whole layer stack over its contiguous row
-        range — issuing **one** tile GEMM per projection covering all of
-        its segments — and writes its rows of ``out`` in place.
-
-        Bitwise-equal to the serial megabatch by construction: BLAS
-        row-splits ``m`` (chunking rows never changes GEMM bits), every
-        non-GEMM op is row- or segment-local, and attention buckets are
-        composition-invariant (the megabatch-vs-per-request equivalence
-        the packing tests pin down).
+        With ``scratch``, layers ping-pong between ``cur`` and ``nxt``
+        and the result is whichever of the two the last layer wrote.
         """
-        context = NullContext()
-        offsets = mega.packing.seq_offsets
-        max_seq_len = mega.packing.max_seq_len
-        sub_packs = [
+        for layer in self.weights.layers:
+            result = encoder_layer_packed(
+                cur,
+                layer,
+                self.config,
+                self.opt,
+                packing,
+                ctx=context,
+                scratch=scratch,
+                out=nxt,
+                kernel=kernel,
+            )
+            if scratch is not None:
+                nxt = cur
+            cur = result
+        return cur
+
+    def _run_stack(
+        self,
+        h: np.ndarray,
+        packing: PackedSeqs,
+        context: ExecutionContext,
+        chunks: list[tuple[int, int]] | None,
+        *,
+        nxt: np.ndarray | None = None,
+        lanes: list[int] | None = None,
+    ) -> np.ndarray:
+        """The layer stack over packed ``h``: serially, or with its
+        segment ``chunks`` fanned out over the executor.
+
+        Each chunk runs the whole stack over its contiguous row range —
+        **one** tile GEMM per projection covering all of its segments —
+        with the attention kernel the whole batch dispatches to.  With
+        the arena, chunk ``i`` takes its scratch from a lane of
+        ``lanes[i]`` bytes (:meth:`LiveArena.carve`) and ping-pongs
+        between its rows of ``h`` and ``nxt``, exactly as the serial
+        arena path does over all rows; without it, chunks write their
+        rows of a fresh buffer.
+
+        Bitwise-equal to the serial stack: a projection GEMM's row
+        keeps its bits under any row split and BLAS thread count at
+        BERT's ``k`` (see :func:`~repro.core.parallel.one_blas_thread`),
+        every non-GEMM op is row- or segment-local, and attention runs
+        on one BLAS thread over composition-invariant buckets (the
+        megabatch-vs-per-request equivalence the packing tests pin
+        down).
+        """
+        arena = self.arena if nxt is not None else None
+        if chunks is None:
+            return self._layer_stack(h, packing, context, scratch=arena, nxt=nxt)
+        kernel = attention_kernel(
+            self.config, self.opt, int(packing.seq_lens.max()),
+            context.device, forced_mha_path(),
+        )
+        offsets = packing.seq_offsets
+        subs = [
             packing_from_lengths(
-                mega.packing.seq_lens[s0:s1], max_seq_len, cache=None
+                packing.seq_lens[s0:s1], packing.max_seq_len, cache=None
             )
             for s0, s1 in chunks
         ]
+        scratch = (
+            [arena.carve(f"lane.{i}", n) for i, n in enumerate(lanes)]
+            if arena is not None
+            else None
+        )
+        out = nxt if arena is not None else np.empty_like(h)
 
         def run_chunk(i: int) -> None:
             s0, s1 = chunks[i]
-            r0, r1 = int(offsets[s0]), int(offsets[s1])
-            h = x_valid[r0:r1]
-            for layer in self.weights.layers:
-                h = encoder_layer_packed(
-                    h,
-                    layer,
-                    self.config,
-                    self.opt,
-                    sub_packs[i],
-                    ctx=context,
+            rows = slice(int(offsets[s0]), int(offsets[s1]))
+            if scratch is None:
+                out[rows] = self._layer_stack(
+                    h[rows], subs[i], context, kernel=kernel
                 )
-            out[r0:r1] = h
+            else:
+                self._layer_stack(
+                    h[rows], subs[i], context,
+                    scratch=scratch[i], nxt=nxt[rows], kernel=kernel,
+                )
 
         current_executor().map(run_chunk, range(len(chunks)))
-        return out
+        if arena is None:
+            return out
+        for i in range(len(chunks)):
+            arena.release(f"lane.{i}")
+        # every chunk ping-pongs the same number of times
+        return nxt if len(self.weights.layers) % 2 else h
+
+    def _arena_engaged(self, dtype: np.dtype) -> bool:
+        return (
+            self.arena is not None
+            and is_vectorized()
+            and np.issubdtype(dtype, np.floating)
+        )
 
     def _forward_numeric_packed(
         self, x_tile: np.ndarray, mega: CrossRequestPacking
@@ -373,66 +529,28 @@ class BertEncoderModel:
         packing = mega.packing
         x_valid = x_tile[:total]
         dt = x_tile.dtype
+        chunks = self._segment_chunks(packing)
+        if not self._arena_engaged(dt):
+            out = np.zeros((mega.tile, hidden), dtype=dt)
+            out[:total] = self._run_stack(x_valid, packing, context, chunks)
+            return out
         arena = self.arena
-        chunks = self._segment_chunks(mega)
-        use_arena = (
-            arena is not None
-            and is_vectorized()
-            and np.issubdtype(dt, np.floating)
+        self.prereserve_tiles((mega.tile,), packing.max_seq_len, dt)
+        lanes = (
+            self._reserve_forward(
+                packing, dt, context.device, chunks, tile=mega.tile
+            )
+            if chunks is not None
+            else None
         )
-        if use_arena:
-            if chunks is None:
-                self.prereserve_tiles((mega.tile,), packing.max_seq_len, dt)
-            else:
-                # the chunk workers take nothing from the arena but the
-                # [tile, H] output
-                key = ("output", mega.tile, dt.str)
-                if key not in self._reserved_plans:
-                    plan = ActivationTrace()
-                    plan.take("output", (mega.tile, hidden), dt)
-                    self._reserve(key, [plan])
-            arena.begin()
-        if chunks is not None:
-            out = (
-                arena.take("output", (mega.tile, hidden), dt)
-                if use_arena
-                else np.empty((mega.tile, hidden), dtype=dt)
-            )
-            self._run_packed_chunks(x_valid, mega, chunks, out)
-            out[total:] = 0.0
-            return out
-        if use_arena:
-            cur = arena.take("h0", (total, hidden), dt)
-            nxt = arena.take("h1", (total, hidden), dt)
-            np.copyto(cur, x_valid)
-            for layer in self.weights.layers:
-                encoder_layer_packed(
-                    cur,
-                    layer,
-                    self.config,
-                    self.opt,
-                    packing,
-                    ctx=context,
-                    scratch=arena,
-                    out=nxt,
-                )
-                cur, nxt = nxt, cur
-            out = arena.take("output", (mega.tile, hidden), dt)
-            np.copyto(out[:total], cur)
-            out[total:] = 0.0
-            return out
-        hidden_state = x_valid
-        for layer in self.weights.layers:
-            hidden_state = encoder_layer_packed(
-                hidden_state,
-                layer,
-                self.config,
-                self.opt,
-                packing,
-                ctx=context,
-            )
-        out = np.zeros((mega.tile, hidden), dtype=x_tile.dtype)
-        out[:total] = hidden_state
+        arena.begin()
+        cur = arena.take("h0", (total, hidden), dt)
+        nxt = arena.take("h1", (total, hidden), dt)
+        np.copyto(cur, x_valid)
+        cur = self._run_stack(cur, packing, context, chunks, nxt=nxt, lanes=lanes)
+        out = arena.take("output", (mega.tile, hidden), dt)
+        np.copyto(out[:total], cur)
+        out[total:] = 0.0
         return out
 
     def _forward_numeric(
@@ -443,72 +561,58 @@ class BertEncoderModel:
         seq_len: int,
         context: ExecutionContext,
     ) -> np.ndarray:
-        """One forward on the flat ``[B*S, H]`` tensor; returns flat out."""
-        hidden = self.config.hidden_size
-        if self.opt.remove_padding:
-            packing = packing_from_mask(mask, ctx=context)
-            arena = self.arena
-            if (
-                arena is not None
-                and is_vectorized()
-                and np.issubdtype(flat.dtype, np.floating)
-            ):
-                tokens = packing.total_tokens
-                dt = flat.dtype
-                # pre-size the backing from the shape's symbolic plan so
-                # even the first forward per shape is served entirely
-                # from the backing — zero warm-up np.empty overflows
-                path = forced_mha_path()
-                key = (
-                    packing.seq_lens.tobytes(),
-                    seq_len,
-                    dt.str,
-                    path,
-                    context.device,
-                )
-                if key not in self._reserved_plans:
-                    plan = plan_live_forward(
-                        self.config, self.opt, packing.seq_lens, seq_len,
-                        device=context.device, mha=path, dtype=dt,
-                    )
-                    self._reserve(key, [plan])
-                arena.begin()
-                cur = arena.take("h0", (tokens, hidden), dt)
-                nxt = arena.take("h1", (tokens, hidden), dt)
-                pack(flat, packing, ctx=context, out=cur)
-                for layer in self.weights.layers:
-                    encoder_layer_packed(
-                        cur,
-                        layer,
-                        self.config,
-                        self.opt,
-                        packing,
-                        ctx=context,
-                        scratch=arena,
-                        out=nxt,
-                    )
-                    cur, nxt = nxt, cur
-                out = arena.take("output", (batch * seq_len, hidden), dt)
-                unpack(cur, packing, ctx=context, out=out)
-                return out
-            hidden_state = pack(flat, packing, ctx=context)
+        """One forward on the flat ``[B*S, H]`` tensor; returns flat out.
+
+        A numerics-only forward (under a :class:`NullContext`) fans its
+        segment chunks out over the executor.  One that records launches
+        (a capture, an uncached priced forward) runs serially: its
+        stream and its peak memory are the serial forward's.  It still
+        reserves the arena for the fanned replays that follow it.
+        """
+        if not self.opt.remove_padding:
+            out = flat
             for layer in self.weights.layers:
-                hidden_state = encoder_layer_packed(
-                    hidden_state,
-                    layer,
-                    self.config,
-                    self.opt,
-                    packing,
-                    ctx=context,
+                out = encoder_layer_padded(
+                    out, layer, self.config, self.opt, mask, ctx=context
                 )
+            # zero the padding so padded and packed pipelines agree exactly
+            return out * mask.reshape(batch * seq_len, 1)
+        packing = packing_from_mask(mask, ctx=context)
+        fanned = self._segment_chunks(packing)
+        if isinstance(context, NullContext):
+            return self._forward_rows(flat, packing, context, fanned, fanned)
+        with use_executor(SERIAL_EXECUTOR):
+            return self._forward_rows(flat, packing, context, None, fanned)
+
+    def _forward_rows(
+        self,
+        flat: np.ndarray,
+        packing: PackedSeqs,
+        context: ExecutionContext,
+        chunks: list[tuple[int, int]] | None,
+        fanned: list[tuple[int, int]] | None,
+    ) -> np.ndarray:
+        """The packed pipeline over padded rows: pack, the layer stack
+        (fanned out over ``chunks``), unpack."""
+        dt = flat.dtype
+        if not self._arena_engaged(dt):
+            hidden_state = pack(flat, packing, ctx=context)
+            hidden_state = self._run_stack(hidden_state, packing, context, chunks)
             return unpack(hidden_state, packing, ctx=context)
-        out = flat
-        for layer in self.weights.layers:
-            out = encoder_layer_padded(
-                out, layer, self.config, self.opt, mask, ctx=context
-            )
-        # zero the padding so padded and packed pipelines agree exactly
-        return out * mask.reshape(batch * seq_len, 1)
+        arena = self.arena
+        tokens, hidden = packing.total_tokens, self.config.hidden_size
+        # pre-size the backing from the shape's symbolic plans so even
+        # the first forward per shape is served entirely from the
+        # backing — zero warm-up np.empty overflows
+        lanes = self._reserve_forward(packing, dt, context.device, fanned)
+        arena.begin()
+        cur = arena.take("h0", (tokens, hidden), dt)
+        nxt = arena.take("h1", (tokens, hidden), dt)
+        pack(flat, packing, ctx=context, out=cur)
+        cur = self._run_stack(cur, packing, context, chunks, nxt=nxt, lanes=lanes)
+        out = arena.take("output", (packing.padded_rows, hidden), dt)
+        unpack(cur, packing, ctx=context, out=out)
+        return out
 
     def forward_with_stats(
         self,

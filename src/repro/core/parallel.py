@@ -16,14 +16,26 @@ serial-equivalence contract rests on.
 
 Thread-safety contract: submitted callables must not allocate from a
 shared :class:`~repro.core.memory_planner.LiveArena` (the engine
-pre-acquires every bucket's scratch before fanning out) and must not
-touch the module-global engine/dispatch switches (callers set those
-before the fan-out).
+pre-acquires every bucket's scratch before fanning out, and a segment
+chunk takes from its own lane of the arena) and must not touch the
+module-global engine/dispatch switches (callers set those before the
+fan-out).
+
+Host default: a thread with no executor active runs on a process-wide
+executor as wide as the host's usable cores (:func:`current_executor`).
+OpenBLAS threads would oversubscribe the cores the pool already uses,
+so every real fan-out pins OpenBLAS to one thread for its length and
+restores the previous count afterwards (:func:`blas_pinned`); outside a
+fan-out, small-M GEMMs keep every BLAS thread.  Without a BLAS thread
+control the default stays serial.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -33,7 +45,10 @@ import numpy as np
 __all__ = [
     "BucketExecutor",
     "SERIAL_EXECUTOR",
+    "blas_pinned",
     "current_executor",
+    "host_executor",
+    "one_blas_thread",
     "partition_weighted",
     "use_executor",
     "use_workers",
@@ -85,12 +100,135 @@ def partition_weighted(
     return [(bounds[i], bounds[i + 1]) for i in range(parts)]
 
 
+class BlasThreads:
+    """Get/set OpenBLAS's thread count through the library numpy loaded."""
+
+    #: (setter, getter) symbol pairs: numpy's bundled scipy-openblas
+    #: (64-bit interface), then a system OpenBLAS
+    SYMBOLS = (
+        ("scipy_openblas_set_num_threads64_",
+         "scipy_openblas_get_num_threads64_"),
+        ("openblas_set_num_threads", "openblas_get_num_threads"),
+    )
+
+    def __init__(self, lib: ctypes.CDLL, setter: str, getter: str) -> None:
+        self._set = getattr(lib, setter)
+        self._set.argtypes = [ctypes.c_int]
+        self._set.restype = None
+        self._get = getattr(lib, getter)
+        self._get.argtypes = []
+        self._get.restype = ctypes.c_int
+
+    def get(self) -> int:
+        return int(self._get())
+
+    def set(self, threads: int) -> None:
+        self._set(int(threads))
+
+    @classmethod
+    def find(cls) -> "BlasThreads | None":
+        """The control of an OpenBLAS already mapped into this process
+        (numpy loads it at import), else ``None``."""
+        try:
+            with open("/proc/self/maps") as maps:
+                paths = {
+                    line.split()[-1]
+                    for line in maps
+                    if "openblas" in line.rsplit("/", 1)[-1].lower()
+                }
+        except OSError:
+            return None
+        # numpy's own copy first (scipy may have mapped another)
+        for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for setter, getter in cls.SYMBOLS:
+                if hasattr(lib, setter) and hasattr(lib, getter):
+                    return cls(lib, setter, getter)
+        return None
+
+
+_BLAS_UNSET = object()
+_blas: "BlasThreads | None | object" = _BLAS_UNSET
+_blas_lock = threading.Lock()
+#: fan-outs running now, process-wide, and the count the first one saved
+_blas_pins = 0
+_blas_saved = 1
+
+
+def blas_threads() -> "BlasThreads | None":
+    """The process's OpenBLAS thread control, found once."""
+    global _blas
+    if _blas is _BLAS_UNSET:
+        _blas = BlasThreads.find()
+    return _blas  # type: ignore[return-value]
+
+
+@contextlib.contextmanager
+def blas_pinned() -> Iterator[None]:
+    """OpenBLAS runs one thread per call inside the block.
+
+    Concurrent blocks on several threads nest: the first one in saves
+    the count, the last one out restores it, also when the block
+    raises.  A no-op without a BLAS thread control.
+    """
+    global _blas_pins, _blas_saved
+    blas = blas_threads()
+    if blas is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_pins == 0:
+            _blas_saved = blas.get()
+            blas.set(1)
+        _blas_pins += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pins -= 1
+            if _blas_pins == 0:
+                blas.set(_blas_saved)
+
+
+def one_blas_thread(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """Run ``fn`` under :func:`blas_pinned`, fanned out or not.
+
+    For attention: OpenBLAS's threaded driver blocks ``k`` (and tiles a
+    square ``q @ k.T``) differently from its one-thread driver, so a
+    per-head ``probs @ v`` past 384 keys, or an fp64 ``q @ k.T`` past
+    about 90, rounds differently by thread count.  A kernel that always
+    runs on one BLAS thread gives the same bits inline, on a pool
+    worker and on a one-core host.  The projection GEMMs keep every
+    thread outside a fan-out: at BERT's ``k`` (768, 1024, 3072) both
+    drivers block it alike, but some other ``k`` (500, 700, 1000) they
+    do not, and a fanned forward of such a model is not bitwise equal
+    to its serial capture.
+    """
+
+    @functools.wraps(fn)
+    def pinned(*args: Any, **kwargs: Any) -> Any:
+        with blas_pinned():
+            return fn(*args, **kwargs)
+
+    return pinned
+
+
+def _enter_worker() -> None:
+    """Pool-thread initializer: a worker's own fan-outs run serially
+    (submitting back into the pool you are a worker of deadlocks)."""
+    _tls.stack = [SERIAL_EXECUTOR]
+
+
 class BucketExecutor:
     """Run independent callables across ``workers`` threads.
 
     ``workers == 1`` (the default) never creates a pool: ``map`` runs
     inline in submission order, byte-identical to a plain loop.  Results
-    always come back in item order regardless of completion order.
+    always come back in item order regardless of completion order.  A
+    real fan-out runs under :func:`blas_pinned`.
     """
 
     def __init__(self, workers: int = 1) -> None:
@@ -115,8 +253,10 @@ class BucketExecutor:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers,
                 thread_name_prefix="bucket-worker",
+                initializer=_enter_worker,
             )
-        return list(self._pool.map(fn, work))
+        with blas_pinned():
+            return list(self._pool.map(fn, work))
 
     def shutdown(self) -> None:
         if self._pool is not None:
@@ -130,14 +270,43 @@ class BucketExecutor:
         self.shutdown()
 
 
-#: the default executor: serial, stateless, shared freely
+#: the serial executor: stateless, shared freely
 SERIAL_EXECUTOR = BucketExecutor(1)
 
 # The executor stack is *per-thread*: a pool worker thread starts with
-# an empty stack and therefore runs its own nested fan-outs (e.g. the
-# attention bucket loop inside a megabatch segment chunk) serially —
-# submitting back into the pool you are a worker of is a deadlock.
+# SERIAL_EXECUTOR on its stack and therefore runs its own nested
+# fan-outs (e.g. the attention bucket loop inside a segment chunk)
+# serially — submitting back into the pool you are a worker of is a
+# deadlock.
 _tls = threading.local()
+
+_host: BucketExecutor | None = None
+_host_lock = threading.Lock()
+
+
+def host_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def host_executor() -> BucketExecutor:
+    """The process-wide default: one worker per usable core, or
+    :data:`SERIAL_EXECUTOR` on one core or without a BLAS thread control
+    (an unpinned fan-out oversubscribes the cores BLAS already uses)."""
+    global _host
+    if _host is None:
+        with _host_lock:
+            if _host is None:
+                cores = host_cores()
+                _host = (
+                    BucketExecutor(cores)
+                    if cores > 1 and blas_threads() is not None
+                    else SERIAL_EXECUTOR
+                )
+    return _host
 
 
 def _current_stack() -> list:
@@ -149,9 +318,10 @@ def _current_stack() -> list:
 
 
 def current_executor() -> BucketExecutor:
-    """The innermost executor activated *on this thread*, else serial."""
+    """The innermost executor activated *on this thread*, else the host
+    default (:func:`host_executor`); always serial on a pool worker."""
     stack = _current_stack()
-    return stack[-1] if stack else SERIAL_EXECUTOR
+    return stack[-1] if stack else host_executor()
 
 
 @contextlib.contextmanager

@@ -115,7 +115,7 @@ def scatter_outputs(
 
 def retile(
     total_tokens: int,
-    batcher: object,
+    tiles: tuple[int, ...],
     fallback_tile: int,
 ) -> int:
     """Quantized tile for a retried megabatch of ``total_tokens``.
@@ -123,13 +123,10 @@ def retile(
     After a fault, expired segments are shed before the retry, so the
     surviving token count may fit a smaller tile — re-quantizing keeps
     the retry on a recurring graph key instead of paying the original
-    tile's padded cost.  Falls back to the dispatch's own tile when the
-    batcher does not expose a tile set (``total_tokens`` never exceeds
-    it: survivors are a subset of the original megabatch).
+    tile's padded cost.  ``tiles`` is the batcher's
+    :meth:`~repro.workloads.batching.ContinuousBatcher.effective_tiles`,
+    read once per run by the caller; it is empty for a batcher without a
+    tile set, which keeps the dispatch's own tile (``total_tokens``
+    never exceeds it: survivors are a subset of the original megabatch).
     """
-    tiles = (
-        batcher.effective_tiles()
-        if isinstance(batcher, ContinuousBatcher)
-        else (fallback_tile,)
-    )
-    return quantize_tile(total_tokens, tiles)
+    return quantize_tile(total_tokens, tiles or (fallback_tile,))

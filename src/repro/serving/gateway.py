@@ -261,23 +261,39 @@ class GatewayResult:
         return counts
 
 
+class _Backlog:
+    """What every tenant of one pre-pass has queued, kept by the
+    tenants' enqueue and dequeue so the drain loop never scans them."""
+
+    __slots__ = ("requests", "tokens")
+
+    def __init__(self) -> None:
+        self.requests = 0
+        self.tokens = 0
+
+
 class _TenantState:
     """Mutable per-tenant gateway state during one pre-pass."""
 
-    def __init__(self, policy: TenantPolicy) -> None:
+    def __init__(self, policy: TenantPolicy, backlog: _Backlog) -> None:
         self.policy = policy
         self.bucket = policy.make_bucket()
         self.queue: deque[Request] = deque()
         self.queued_tokens = 0
         self.deficit = 0.0
+        self.backlog = backlog
 
     def enqueue(self, request: Request) -> None:
         self.queue.append(request)
         self.queued_tokens += request.seq_len
+        self.backlog.requests += 1
+        self.backlog.tokens += request.seq_len
 
     def dequeue(self) -> Request:
         request = self.queue.popleft()
         self.queued_tokens -= request.seq_len
+        self.backlog.requests -= 1
+        self.backlog.tokens -= request.seq_len
         return request
 
     def shed_oldest(self) -> Request:
@@ -373,8 +389,9 @@ class AdmissionGateway:
                 "service_rate_tokens_per_us or run it through a "
                 "ServingRuntime, which fills it in from the cost model"
             )
+        backlog = _Backlog()
         states: dict[str, _TenantState] = {
-            name: _TenantState(policy)
+            name: _TenantState(policy, backlog)
             for name, policy in self.policies.items()
         }
         order = list(states)  # DRR visit order: policy declaration order
@@ -402,9 +419,7 @@ class AdmissionGateway:
         def drain_until(now_us: float) -> None:
             """Release queued requests whose service fits before now."""
             nonlocal server_free_us
-            while server_free_us <= now_us and any(
-                states[t].queue for t in order
-            ):
+            while server_free_us <= now_us and backlog.requests:
                 tenant = order[cursor["idx"] % len(order)]
                 state = states[tenant]
                 if not state.queue:
@@ -460,7 +475,7 @@ class AdmissionGateway:
             cap = self.max_total_queue_tokens
             if cap is None:
                 return
-            while sum(s.queued_tokens for s in states.values()) > cap:
+            while backlog.tokens > cap:
                 for qos in (QosClass.THROUGHPUT_BATCH, QosClass.LATENCY_SLO):
                     candidates = [
                         s
@@ -521,7 +536,7 @@ class AdmissionGateway:
             global_shed(now)
 
         # close the horizon: drain whatever is still queued
-        while any(states[t].queue for t in order):
+        while backlog.requests:
             horizon = server_free_us + self.quantum_tokens / self.service_rate
             drain_until(
                 max(

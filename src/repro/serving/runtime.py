@@ -393,15 +393,18 @@ class _EncoderPlanner:
         self, loop: ServingLoop, trace: ServingTrace, admitted: list[Request]
     ) -> None:
         rt = self.rt
-        if rt.numerics is not None and isinstance(
-            rt.batcher, ContinuousBatcher
-        ):
+        #: the batcher's tile set, read once per run (a retried
+        #: megabatch re-quantizes onto it)
+        self.tiles = (
+            rt.batcher.effective_tiles()
+            if isinstance(rt.batcher, ContinuousBatcher)
+            else ()
+        )
+        if rt.numerics is not None and self.tiles:
             # size the arena for every tile the batcher can emit before
             # the first dispatch: steady-state serving then never pays a
             # warm-up overflow alloc
-            rt.numerics.prereserve_tiles(
-                rt.batcher.effective_tiles(), trace.max_seq_len
-            )
+            rt.numerics.prereserve_tiles(self.tiles, trace.max_seq_len)
         self.loop = loop
         self.max_seq_len = trace.max_seq_len
         self.outputs: dict[int, np.ndarray] = {}
@@ -537,9 +540,7 @@ class _EncoderPlanner:
             # this attempt covers only the still-affected segments —
             # re-quantized, usually onto a smaller (still graph-cached)
             # tile
-            unit.tile = retile(
-                unit.tokens, self.rt.batcher, unit.dispatch.tile
-            )
+            unit.tile = retile(unit.tokens, self.tiles, unit.dispatch.tile)
         service, unit.capacity = self._price_group(
             ctx, unit.alive, level, unit.tile
         )

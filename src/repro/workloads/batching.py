@@ -380,10 +380,11 @@ class ContinuousBatcher(Batcher):
         waiting: list[Request] = []
         #: valid tokens in ``waiting``, kept as requests join and leave
         waiting_tokens = 0
+        tiles = self.effective_tiles()
 
         def cut(ready_us: float) -> None:
             nonlocal waiting_tokens
-            dispatch = self._cut(waiting, ready_us)
+            dispatch = self._cut(waiting, ready_us, tiles)
             waiting_tokens -= dispatch.total_tokens
             plan.append(dispatch)
 
@@ -404,13 +405,21 @@ class ContinuousBatcher(Batcher):
             while waiting_tokens >= self.token_budget:
                 cut(request.arrival_us)
         while waiting:
-            plan.append(self._cut(waiting, self._head_due_us(waiting[0])))
+            plan.append(
+                self._cut(waiting, self._head_due_us(waiting[0]), tiles)
+            )
         plan.sort(key=lambda d: d.ready_us)
         self._validate_cover(trace, plan)
         return plan
 
-    def _cut(self, waiting: list[Request], ready_us: float) -> Dispatch:
-        """Fill one megabatch from ``waiting`` (mutating it) and tile it."""
+    def _cut(
+        self,
+        waiting: list[Request],
+        ready_us: float,
+        tiles: tuple[int, ...],
+    ) -> Dispatch:
+        """Fill one megabatch from ``waiting`` (mutating it) and tile it
+        onto ``tiles``, the :meth:`effective_tiles` of this plan."""
         # the head always ships (progress guarantee); the rest of the
         # budget goes to the tightest deadlines first, among requests
         # that have actually arrived by the cut instant (a timeout cut
@@ -437,7 +446,7 @@ class ContinuousBatcher(Batcher):
         depth = len(waiting)
         cut = [r for i, r in enumerate(waiting) if i in chosen]
         waiting[:] = [r for i, r in enumerate(waiting) if i not in chosen]
-        tile = quantize_tile(used, self.effective_tiles())
+        tile = quantize_tile(used, tiles)
         _observe_cut(
             depth, cut, ready_us, tile=tile, fill=used / self.token_budget
         )

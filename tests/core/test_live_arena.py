@@ -17,18 +17,26 @@ from repro.core.config import RM_PADDING, STEPWISE_PRESETS, BertConfig
 from repro.core.memory_planner import (
     ArenaAllocator,
     LiveArena,
+    plan_fanned_forward,
     plan_live_forward,
     plan_live_megabatch,
 )
-from repro.core.model import BertEncoderModel
+from repro.core.model import BertEncoderModel, segment_work
 from repro.core.padding import (
     merge_request_lengths,
     pack_segments,
     packing_from_lengths,
 )
-from repro.core.parallel import use_workers
+from repro.core.parallel import (
+    SERIAL_EXECUTOR,
+    host_executor,
+    partition_weighted,
+    use_executor,
+    use_workers,
+)
 from repro.gpusim import ExecutionContext
 from repro.gpusim.device import A100_SPEC
+from repro.gpusim.graph import GraphCache
 
 # the PR 1 equivalence matrix: every shape class the bucketed engine
 # must handle (mirrors tests/attention/test_bucketed_equivalence.py)
@@ -71,22 +79,30 @@ def _megabatch(lengths, max_seq, tile, dtype, seed=0):
 class RecordingArena(LiveArena):
     """A live arena that logs each forward's takes and releases.
 
-    Every view it hands out is first filled with NaN, and must hold no
-    NaN when it is released (or when the forward ends): a buffer that is
-    taken but never written, or read before it is written, shows up.
+    Every float view it hands out is first filled with NaN, and must
+    hold no NaN when it is released (or when the forward ends): a buffer
+    that is taken but never written, or read before it is written, shows
+    up.  Lanes it carves are recording arenas too, kept in :attr:`lanes`.
     """
 
     def begin(self):
         super().begin()
         self.events = []
         self._views = {}
+        self.lanes = []
 
     def take(self, name, shape, dtype=np.float64):
         view = super().take(name, shape, dtype)
-        view.fill(np.nan)
+        if view.dtype.kind == "f":
+            view.fill(np.nan)
         self._views[name] = view
         self.events.append((name, view.nbytes))
         return view
+
+    def carve(self, name, nbytes):
+        lane = super().carve(name, nbytes)
+        self.lanes.append(lane)
+        return lane
 
     def release(self, name):
         view = self._views.pop(name)
@@ -105,6 +121,8 @@ class RecordingArena(LiveArena):
 
 
 def _assert_written(name, view):
+    if view.dtype.kind != "f":  # a lane: its own takes are checked
+        return
     unwritten = int(np.isnan(view).sum())
     if unwritten:
         raise AssertionError(
@@ -212,21 +230,25 @@ class TestPlannerAgreement:
     @pytest.mark.parametrize("case", sorted(LENGTH_CASES))
     def test_observed_peak_within_offline_prediction(self, case):
         # the plan is not just an upper bound: it is the take sequence
+        # (of the serial forward; the fanned one is checked below)
         lengths = LENGTH_CASES[case]
         x, mask = _batch(lengths)
         model = BertEncoderModel(CONFIG, opt=FUSED, arena=RecordingArena())
-        model.forward(x, mask)
-        trace = plan_live_forward(
-            CONFIG, FUSED, np.array(lengths), MAX_SEQ,
-            device=A100_SPEC, dtype=x.dtype,
-        )
-        assert model.arena.closed_events() == _plan_events(trace)
-        predicted_arena = ArenaAllocator(model.arena.alignment).replay(trace)
-        for _ in range(2):  # reserved from the plan before the first
-            assert model.arena.footprint_bytes == predicted_arena
-            assert model.arena.in_steady_state
-            assert model.arena.overflow_allocs == 0
+        with use_executor(SERIAL_EXECUTOR):
             model.forward(x, mask)
+            trace = plan_live_forward(
+                CONFIG, FUSED, np.array(lengths), MAX_SEQ,
+                device=A100_SPEC, dtype=x.dtype,
+            )
+            assert model.arena.closed_events() == _plan_events(trace)
+            predicted_arena = ArenaAllocator(model.arena.alignment).replay(
+                trace
+            )
+            for _ in range(2):  # reserved from the plan before the first
+                assert model.arena.footprint_bytes == predicted_arena
+                assert model.arena.in_steady_state
+                assert model.arena.overflow_allocs == 0
+                model.forward(x, mask)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
@@ -237,9 +259,10 @@ class TestPlannerAgreement:
         path=st.sampled_from([None, "zeropad", "cublas"]),
         preset=st.sampled_from([FUSED, RM_PADDING]),
         megabatch=st.booleans(),
+        workers=st.integers(1, 2),
     )
     def test_plan_equals_take_sequence(
-        self, lengths, dtype, path, preset, megabatch
+        self, lengths, dtype, path, preset, megabatch, workers
     ):
         opt = dataclasses.replace(preset, fused_mha_short_max_seq=SHORT_LIMIT)
         config = dataclasses.replace(CONFIG, num_layers=1)
@@ -248,7 +271,7 @@ class TestPlannerAgreement:
         )
         max_seq = 2 * SHORT_LIMIT
         tile = None
-        with force_mha_path(path):
+        with force_mha_path(path), use_workers(workers):
             if megabatch:
                 tile = 16 * (-(-sum(lengths) // 16))
                 x_tile, mega = _megabatch(lengths, max_seq, tile, dtype)
@@ -256,11 +279,88 @@ class TestPlannerAgreement:
             else:
                 x, mask = _batch(lengths, dtype=dtype, max_seq=max_seq)
                 model.forward(x, mask)
-        plan = plan_live_forward(
-            config, opt, np.array(lengths), max_seq,
+        arena = model.arena
+        if workers == 1 or len(lengths) == 1:
+            plan = plan_live_forward(
+                config, opt, np.array(lengths), max_seq,
+                device=A100_SPEC, mha=path, dtype=dtype, tile=tile,
+            )
+            assert arena.closed_events() == _plan_events(plan)
+            assert arena.lanes == []
+            return
+        # each chunk worker's lane takes exactly its lane plan
+        chunks = partition_weighted(segment_work(lengths), workers)
+        plan, lane_plans = plan_fanned_forward(
+            config, opt, np.array(lengths), max_seq, chunks,
             device=A100_SPEC, mha=path, dtype=dtype, tile=tile,
+            alignment=arena.alignment,
         )
-        assert model.arena.closed_events() == _plan_events(plan)
+        assert arena.closed_events() == _plan_events(plan)
+        assert [lane.closed_events() for lane in arena.lanes] == [
+            _plan_events(p) for p in lane_plans
+        ]
+        assert arena.overflow_allocs == 0
+
+
+class TestHostDefaultFanout:
+    """A numerics-only forward fans its segment chunks out over the host
+    default executor; a forward that records launches runs serially."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        lengths=st.lists(
+            st.integers(1, 2 * SHORT_LIMIT), min_size=2, max_size=8
+        ),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        arena=st.booleans(),
+    )
+    def test_host_default_equals_serial(self, lengths, dtype, arena):
+        opt = dataclasses.replace(FUSED, fused_mha_short_max_seq=SHORT_LIMIT)
+        max_seq = 2 * SHORT_LIMIT
+        x, mask = _batch(lengths, dtype=dtype, max_seq=max_seq)
+
+        def model():
+            return BertEncoderModel(
+                CONFIG, opt=opt, seed=3,
+                arena=RecordingArena() if arena else None,
+                graph_cache=GraphCache(),
+            )
+
+        with use_executor(SERIAL_EXECUTOR):
+            serial = model()
+            want = serial.forward(x, mask).copy()
+            serial_ctx = ExecutionContext()
+            serial.forward(x, mask, ctx=serial_ctx)
+
+        fanned = model()
+        got = fanned.forward(x, mask)
+        assert np.array_equal(got, want)
+        workers = host_executor().workers
+        if arena:
+            assert fanned.arena.overflow_allocs == 0
+            lanes = [lane.closed_events() for lane in fanned.arena.lanes]
+            if workers == 1:
+                assert lanes == []
+            else:
+                chunks = partition_weighted(segment_work(lengths), workers)
+                _, lane_plans = plan_fanned_forward(
+                    CONFIG, opt, np.array(lengths), max_seq, chunks,
+                    device=A100_SPEC, dtype=dtype,
+                    alignment=fanned.arena.alignment,
+                )
+                assert lanes == [_plan_events(p) for p in lane_plans]
+        # a capture (serial) and a replay (fanned numerics) price the
+        # serial stream and keep the serial bits
+        for _ in range(2):
+            ctx = ExecutionContext()
+            got = fanned.forward(x, mask, ctx=ctx)
+            assert np.array_equal(got, want)
+            assert [r.launch for r in ctx.records] == [
+                r.launch for r in serial_ctx.records
+            ]
+            assert ctx.elapsed_us() == serial_ctx.elapsed_us()
+        if arena:
+            assert fanned.arena.overflow_allocs == 0
 
 
 class TestBitParity:
@@ -374,21 +474,34 @@ class TestPlanReserveKeys:
 
 
 class TestChunkedMegabatchReserve:
-    def test_thread_fanout_reserves_only_the_output(self):
-        # the chunk workers run launch-free without the arena: a chunked
-        # megabatch takes nothing from it but its [tile, H] output
+    def test_thread_fanout_serves_lanes_from_the_backing(self):
+        # each chunk worker takes its scratch from its own lane: the
+        # backing is the larger of the tile's serial plans and this
+        # megabatch's fanned plan, and nothing overflows it
         lengths, tile = [100, 90, 80, 60], 512
         x_tile, mega = _megabatch(lengths, 128, tile, np.float64)
-        serial = BertEncoderModel(CONFIG, opt=FUSED, seed=3)
-        want = serial.forward_packed(x_tile.copy(), mega)
+        with use_executor(SERIAL_EXECUTOR):
+            serial = BertEncoderModel(CONFIG, opt=FUSED, seed=3)
+            want = serial.forward_packed(x_tile.copy(), mega)
         arena = LiveArena()
         model = BertEncoderModel(CONFIG, opt=FUSED, seed=3, arena=arena)
         with use_workers(2):
             got = model.forward_packed(x_tile.copy(), mega)
-        out_bytes = tile * CONFIG.hidden_size * np.dtype(np.float64).itemsize
-        assert arena.footprint_bytes == out_bytes
+            got_again = model.forward_packed(x_tile.copy(), mega)
+        chunks = partition_weighted(segment_work(lengths), 2)
+        fanned, _ = plan_fanned_forward(
+            CONFIG, FUSED, np.array(lengths), 128, chunks,
+            device=A100_SPEC, tile=tile,
+        )
+        plans = plan_live_megabatch(
+            CONFIG, FUSED, tile, 128, device=A100_SPEC
+        ) + [fanned]
+        assert arena.footprint_bytes == max(
+            ArenaAllocator(arena.alignment).replay(p) for p in plans
+        )
         assert arena.overflow_allocs == 0
         assert np.array_equal(got, want)
+        assert np.array_equal(got_again, want)
 
 
 class TestMegabatchAcrossKernelBoundary:

@@ -1,14 +1,17 @@
-"""Executor semantics: ordering, fan-out, context stacking."""
+"""Executor semantics: ordering, fan-out, context stacking, BLAS pin."""
 
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core import parallel
 from repro.core.parallel import (
     SERIAL_EXECUTOR,
     BucketExecutor,
+    blas_threads,
     current_executor,
+    host_executor,
     partition_weighted,
     use_executor,
     use_workers,
@@ -81,8 +84,14 @@ class TestBucketExecutor:
 
 
 class TestCurrentExecutor:
-    def test_default_is_serial(self):
-        assert current_executor() is SERIAL_EXECUTOR
+    def test_default_is_the_host_executor(self):
+        assert current_executor() is host_executor()
+        expected = (
+            parallel.host_cores()
+            if parallel.host_cores() > 1 and blas_threads() is not None
+            else 1
+        )
+        assert host_executor().workers == expected
 
     def test_use_executor_nests(self):
         a, b = BucketExecutor(1), BucketExecutor(1)
@@ -91,7 +100,7 @@ class TestCurrentExecutor:
             with use_executor(b):
                 assert current_executor() is b
             assert current_executor() is a
-        assert current_executor() is SERIAL_EXECUTOR
+        assert current_executor() is host_executor()
 
     def test_use_workers_shuts_down_on_exit(self):
         with use_workers(2) as ex:
@@ -99,14 +108,14 @@ class TestCurrentExecutor:
             ex.map(lambda i: i, range(4))
             assert ex._pool is not None
         assert ex._pool is None
-        assert current_executor() is SERIAL_EXECUTOR
+        assert current_executor() is host_executor()
 
     def test_use_executor_restores_on_exception(self):
         ex = BucketExecutor(1)
         with pytest.raises(RuntimeError):
             with use_executor(ex):
                 raise RuntimeError("boom")
-        assert current_executor() is SERIAL_EXECUTOR
+        assert current_executor() is host_executor()
 
     def test_stack_is_thread_local(self):
         # a pool worker thread must see the serial default, not the
@@ -123,6 +132,122 @@ class TestCurrentExecutor:
 
         with use_workers(2) as ex:
             assert ex.map(body, range(6)) == [28 * i for i in range(6)]
+
+    def test_host_default_nested_fanout_runs_serially_on_workers(self):
+        # the process-wide default pool: a worker's own fan-out must not
+        # submit back into it
+        def body(i):
+            inner = current_executor()
+            return inner, inner.map(lambda j: threading.get_ident(), range(4))
+
+        seen = current_executor().map(body, range(4))
+        for inner, idents in seen:
+            assert inner is SERIAL_EXECUTOR
+            assert len(set(idents)) == 1
+
+
+class TestHostDefault:
+    def test_no_blas_control_gives_a_serial_default(self, monkeypatch):
+        monkeypatch.setattr(parallel.BlasThreads, "find", classmethod(lambda cls: None))
+        monkeypatch.setattr(parallel, "_blas", parallel._BLAS_UNSET)
+        monkeypatch.setattr(parallel, "_host", None)
+        assert blas_threads() is None
+        assert host_executor() is SERIAL_EXECUTOR
+        assert current_executor() is SERIAL_EXECUTOR
+        # and a fan-out without a control runs unpinned
+        with use_workers(2) as ex:
+            assert ex.map(lambda i: i * i, range(4)) == [0, 1, 4, 9]
+
+    def test_one_core_gives_a_serial_default(self, monkeypatch):
+        monkeypatch.setattr(parallel, "host_cores", lambda: 1)
+        monkeypatch.setattr(parallel, "_host", None)
+        assert host_executor() is SERIAL_EXECUTOR
+
+
+@pytest.fixture
+def blas():
+    control = blas_threads()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    before = control.get()
+    yield control
+    control.set(before)
+
+
+class TestBlasPin:
+    def test_one_thread_inside_a_fanout_restored_after(self, blas):
+        blas.set(2)
+        with use_workers(2) as ex:
+            seen = ex.map(lambda i: blas.get(), range(4))
+        assert seen == [1, 1, 1, 1]
+        assert blas.get() == 2
+
+    def test_restored_when_a_worker_raises(self, blas):
+        blas.set(2)
+
+        def body(i):
+            if i == 2:
+                raise RuntimeError("boom")
+            return blas.get()
+
+        with use_workers(2) as ex:
+            with pytest.raises(RuntimeError, match="boom"):
+                ex.map(body, range(4))
+        assert blas.get() == 2
+
+    def test_serial_map_leaves_blas_alone(self, blas):
+        blas.set(2)
+        assert SERIAL_EXECUTOR.map(lambda i: blas.get(), range(3)) == [2, 2, 2]
+        with use_workers(2) as ex:  # one item stays inline
+            assert ex.map(lambda i: blas.get(), [0]) == [2]
+
+    def test_concurrent_fanouts_restore_the_first_count(self, blas):
+        # two threads fan out at once: the last one out restores
+        blas.set(2)
+        release = threading.Event()
+        inside = threading.Barrier(3)
+
+        def body(i):
+            if i == 0:
+                inside.wait(timeout=30)
+                release.wait(timeout=30)
+            return blas.get()
+
+        results = []
+
+        def fan():
+            with use_workers(2) as ex:
+                results.append(ex.map(body, range(2)))
+
+        threads = [threading.Thread(target=fan) for _ in range(2)]
+        for t in threads:
+            t.start()
+        inside.wait(timeout=30)  # both fan-outs are running
+        assert blas.get() == 1
+        release.set()
+        for t in threads:
+            t.join(timeout=30)
+        assert results == [[1, 1], [1, 1]]
+        assert blas.get() == 2
+
+    def test_attention_runs_on_one_blas_thread(self, blas, monkeypatch):
+        from repro.attention import fused_long
+        from repro.core.padding import packing_from_lengths
+
+        seen = []
+        real = fused_long._bucketed_fused_long
+
+        def spy(*args, **kwargs):
+            seen.append(blas.get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fused_long, "_bucketed_fused_long", spy)
+        blas.set(2)
+        packing = packing_from_lengths([5, 3], 5, cache=None)
+        qkv = np.ones((8, 3 * 16))
+        fused_long.fused_long_mha(qkv, np.zeros(3 * 16), packing, 2)
+        assert seen == [1]
+        assert blas.get() == 2
 
 
 class TestPartitionWeighted:

@@ -126,11 +126,12 @@ class TestTileGraphReuse:
         assert second["replays"] > first["replays"]
 
     def test_retile_quantizes_to_batcher_tiles(self):
-        batcher = ContinuousBatcher(token_budget=1024)
-        assert retile(100, batcher, 1024) == 512
-        assert retile(600, batcher, 1024) == 1024
-        # non-continuous batchers keep the dispatch's original tile
-        assert retile(100, BucketBatcher(), 1024) == 1024
+        tiles = ContinuousBatcher(token_budget=1024).effective_tiles()
+        assert retile(100, tiles, 1024) == 512
+        assert retile(600, tiles, 1024) == 1024
+        # non-continuous batchers (no tile set) keep the dispatch's
+        # original tile
+        assert retile(100, (), 1024) == 1024
 
 
 class TestComparativeEfficiency:
