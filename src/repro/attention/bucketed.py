@@ -134,12 +134,41 @@ def softmax_lastaxis_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def tile_split(buckets: list[LengthBucket], split: int) -> int:
+    """How many runs the long kernel cuts each bucket's tiles into:
+    ``split`` when there are fewer buckets than that (a batch of one is
+    one bucket), else 1, as the buckets alone fill the executor."""
+    return split if len(buckets) < split else 1
+
+
+def tile_runs(
+    bucket: LengthBucket, num_heads: int, runs: int
+) -> list[tuple[int, int]]:
+    """The long kernel's runs over a bucket's (sequence, head) tiles.
+
+    Tile ``u`` is sequence ``u // num_heads``, head ``u % num_heads``;
+    the tiles are cut into ``runs`` contiguous, near-equal runs (fewer
+    when the bucket has fewer tiles), each run reusing one ``[L, L]``
+    tile.
+    """
+    units = bucket.rows.shape[0] * num_heads
+    runs = max(1, min(int(runs), units))
+    bounds = [units * j // runs for j in range(runs + 1)]
+    return [(bounds[j], bounds[j + 1]) for j in range(runs)]
+
+
+def tile_name(run: int, runs: int) -> str:
+    """The scratch suffix of a bucket's ``run``-th long-kernel tile."""
+    return "tile" if runs == 1 else f"tile.{run}"
+
+
 def bucket_scratch(
     kernel: str,
     bucket: LengthBucket,
     num_heads: int,
     head_size: int,
     dtype: np.dtype | type,
+    runs: int = 1,
 ) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """The arena scratch one bucket of ``kernel`` takes, in take order.
 
@@ -150,10 +179,11 @@ def bucket_scratch(
       per-head Q, K and V, the bucket-wide scores, the context and the
       merged heads;
     * ``"long"`` in float64
-      (:func:`repro.attention.fused_long._bucketed_fused_long`): the
-      gathered QKV rows and one ``[L, L]`` tile that every (sequence,
-      head) tile of the bucket reuses;
-    * ``"long"`` in any other dtype: nothing (its tiles are allocated).
+      (:func:`repro.attention.fused_long._bucketed_fused_long`): one
+      ``[L, L]`` tile for each of the bucket's :func:`tile_runs`
+      (``runs`` of them);
+    * ``"long"`` in any other dtype: nothing (the calling thread lends
+      its tiles).
 
     :func:`acquire_bucket_scratch` takes exactly this and
     :func:`~repro.core.memory_planner.plan_live_forward` plans exactly
@@ -161,14 +191,16 @@ def bucket_scratch(
     """
     bsz, length = bucket.rows.shape
     hidden = num_heads * head_size
-    blk = ("blk", (bsz * length, 3 * hidden))
     if kernel == "long":
         if np.dtype(dtype) != np.float64:
             return ()
-        return (blk, ("tile", (length, length)))
+        runs = len(tile_runs(bucket, num_heads, runs))
+        return tuple(
+            (tile_name(run, runs), (length, length)) for run in range(runs)
+        )
     unit = (bsz, num_heads, length, head_size)
     return (
-        blk,
+        ("blk", (bsz * length, 3 * hidden)),
         ("q", unit),
         ("k", unit),
         ("v", unit),
@@ -185,6 +217,7 @@ def acquire_bucket_scratch(
     num_heads: int,
     head_size: int,
     dtype: np.dtype | type,
+    split: int = 1,
 ) -> list[dict[str, np.ndarray]]:
     """Take every bucket's declared scratch (:func:`bucket_scratch`).
 
@@ -192,12 +225,14 @@ def acquire_bucket_scratch(
     may then execute on a worker pool without ever touching the (non
     thread-safe) arena.  Returns one ``{suffix: view}`` dict per bucket,
     in take order; a kernel that declares nothing gets empty dicts.
+    ``split`` is the long kernel's (see :func:`tile_split`).
     """
+    runs = tile_split(buckets, split)
     return [
         {
             suffix: scratch.take(f"mha.{i}.{suffix}", shape, dtype)
             for suffix, shape in bucket_scratch(
-                kernel, bucket, num_heads, head_size, dtype
+                kernel, bucket, num_heads, head_size, dtype, runs
             )
         }
         for i, bucket in enumerate(buckets)

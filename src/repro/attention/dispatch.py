@@ -86,17 +86,16 @@ def byte_mha(
     category: str = "attention",
     out: np.ndarray | None = None,
     scratch: LiveArena | None = None,
-    kernel: str | None = None,
+    split: int = 1,
 ) -> np.ndarray:
     """ByteTransformer's fused MHA: pick the short or long kernel.
 
     Packed ``[T, 3H]`` in, packed ``[T, H]`` out; bias fused either way.
     ``out``/``scratch`` are forwarded to whichever path runs (the
     zeropad fallback honours ``out`` only — its padded intermediates are
-    layout-dependent and stay allocating).  ``kernel`` is a choice
-    already made for a larger batch that ``packing`` is a chunk of: the
-    two kernels round differently in fp32, so a chunk must run the
-    whole batch's kernel to keep its bits.
+    layout-dependent and stay allocating).  ``split`` is the long
+    kernel's tile fan-out (see :func:`fused_long_mha`); the short
+    kernel runs each bucket whole.
     """
     hidden = qkv_packed.shape[1] // 3
     head_size = hidden // num_heads
@@ -110,11 +109,10 @@ def byte_mha(
             qkv_packed, qkv_bias, packing, num_heads, ctx=context,
             category=category, out=out,
         )
-    if kernel is None:
-        kernel = mha_kernel(
-            int(packing.seq_lens.max()), head_size, short_max_seq,
-            context.device,
-        )
+    kernel = mha_kernel(
+        int(packing.seq_lens.max()), head_size, short_max_seq,
+        context.device,
+    )
     if kernel == "short":
         return fused_short_mha(
             qkv_packed, qkv_bias, packing, num_heads, ctx=context,
@@ -123,5 +121,5 @@ def byte_mha(
     return fused_long_mha(
         qkv_packed, qkv_bias, packing, num_heads,
         scheduler=scheduler, ctx=context, category=category,
-        out=out, scratch=scratch,
+        out=out, scratch=scratch, split=split,
     )

@@ -21,13 +21,18 @@ passes for the unfused chain), and every FLOP is on a valid token.
 from __future__ import annotations
 
 import math
+import queue
 
 import numpy as np
 
 from repro.attention.bucketed import (
+    LengthBucket,
     acquire_bucket_scratch,
     build_buckets,
     release_bucket_scratch,
+    tile_name,
+    tile_runs,
+    tile_split,
 )
 from repro.core.engine import is_vectorized
 from repro.core.memory_planner import LiveArena
@@ -71,6 +76,7 @@ def fused_long_mha(
     category: str = "attention",
     out: np.ndarray | None = None,
     scratch: LiveArena | None = None,
+    split: int = 1,
 ) -> np.ndarray:
     """Grouped-GEMM fused MHA on a packed ``[T, 3H]`` QKV tensor.
 
@@ -79,6 +85,9 @@ def fused_long_mha(
     the short kernel's resource limit.  ``out``/``scratch`` route the
     output and the vectorized path's per-bucket intermediates through
     caller storage (see :func:`repro.attention.bucketed.bucketed_sdpa`).
+    With fewer buckets than ``split`` (a batch of one is one bucket),
+    each bucket's (sequence, head) tiles are cut into ``split`` runs on
+    the current executor, each run with a tile of its own.
     """
     tokens, three_hidden = qkv_packed.shape
     if tokens != packing.total_tokens:
@@ -134,7 +143,7 @@ def fused_long_mha(
         )
         out = _bucketed_fused_long(
             qkv_packed, qkv_bias, packing, num_heads, head_size, scale,
-            out=out, scratch=scratch,
+            out=out, scratch=scratch, split=split,
         )
         # ---- launch 3: grouped GEMM P V with mainloop softmax transform
         # per-unit epilogue sums are integers, so the closed forms below
@@ -226,23 +235,28 @@ def _bucketed_fused_long(
     *,
     out: np.ndarray | None = None,
     scratch: LiveArena | None = None,
+    split: int = 1,
 ) -> np.ndarray:
     """Batched numerics of the grouped-GEMM FMHA, one tile at a time.
 
     Every (sequence, head) tile runs the looped reference's per-unit op
-    sequence and dtypes — NT GEMM ``q @ k.T``, scale, the reference's own
-    partial and full softmax reductions, ``exp(x - max) / sum`` into an
-    fp64 ``[L, L]`` tile (fp32 scores upcast on the way in, as the
-    reference's fp64 broadcast does), fp64 ``probs @ v`` written straight
-    into ``out`` — so the engines agree bit for bit.  Each bucket reuses
-    its own tiles across its heads, so buckets may run on the current
-    :class:`~repro.core.parallel.BucketExecutor`.  With ``scratch``,
-    each bucket takes what :func:`~repro.attention.bucketed.bucket_scratch`
-    declares for the long kernel: in float64, the gathered QKV rows and
-    one ``[L, L]`` tile that holds the scores and, in place, the
-    transform; in fp32, nothing, and the tiles are allocated, as carving
-    them from the arena touched backing pages that raised peak RSS by
-    ~15%.
+    sequence and dtypes — the biased head slices of Q, K and V, NT GEMM
+    ``q @ k.T``, scale, the reference's own partial and full softmax
+    reductions, ``exp(x - max) / sum`` into fp64 (fp32 scores upcast on
+    the way in, as the reference's fp64 broadcast does), fp64
+    ``probs @ v`` written straight into ``out`` — so the engines agree
+    bit for bit.  Each bucket's tiles run in
+    :func:`~repro.attention.bucketed.tile_runs` (one per bucket unless
+    :func:`~repro.attention.bucketed.tile_split` cuts them), each
+    reusing one ``[L, L]`` tile, so the runs may go to the current
+    :class:`~repro.core.parallel.BucketExecutor`.  With ``scratch`` in
+    float64, each run's tile is what
+    :func:`~repro.attention.bucketed.bucket_scratch` declares.
+    Otherwise the calling thread allocates one tile per run that can
+    be in flight, sized for the longest bucket, and each run borrows
+    one: tiles allocated on pool threads stayed in their malloc arenas
+    and raised peak RSS, and carving fp32 tiles for every bucket from
+    the arena touched backing pages that raised it by ~15%.
     """
     tokens = packing.total_tokens
     hidden = num_heads * head_size
@@ -251,47 +265,83 @@ def _bucketed_fused_long(
         out = np.empty((tokens, hidden), dtype=dtype)
     # exact buckets (bucket_step=1) hold no padding, so nothing is masked
     buckets = build_buckets(packing)
+    runs_each = tile_split(buckets, split)
     bufs = (
         acquire_bucket_scratch(
-            scratch, "long", buckets, num_heads, head_size, dtype
+            scratch, "long", buckets, num_heads, head_size, dtype, split
         )
         if scratch is not None
         else [{}] * len(buckets)
     )
 
-    def run_bucket(i: int) -> None:
-        bucket = buckets[i]
-        length = bucket.length
-        if not bufs[i]:
-            blk = qkv_packed[bucket.rows.ravel()]
-            blk += qkv_bias
-            probs = np.empty((length, length))
-            scores = (
-                probs if dtype == np.float64 else np.empty_like(probs, dtype)
+    items = [
+        (i, run)
+        for i, bucket in enumerate(buckets)
+        for run in range(len(tile_runs(bucket, num_heads, runs_each)))
+    ]
+    executor = current_executor()
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    if not any(bufs):
+        area = max(bucket.length for bucket in buckets) ** 2
+        for _ in range(min(len(items), executor.workers)):
+            probs = np.empty(area)
+            free.put(
+                (probs, probs if dtype == np.float64 else np.empty(area, dtype))
             )
-        else:
-            blk = np.take(
-                qkv_packed, bucket.rows.ravel(), axis=0, out=bufs[i]["blk"]
-            )
-            np.add(blk, qkv_bias, out=blk)
-            probs = scores = bufs[i]["tile"]
-        for b, start in enumerate(bucket.rows[:, 0]):
-            seq = blk[b * length : (b + 1) * length]
-            qkv = seq.reshape(length, 3, num_heads, head_size)
-            for h in range(num_heads):
-                np.matmul(qkv[:, 0, h], qkv[:, 1, h].T, out=scores)
-                scores *= scale
-                stats = partial_softmax_stats(scores)
-                row_max, row_sum = full_reduce_stats(*stats)
-                # apply_softmax_transform, written into the fp64 tile
-                np.subtract(scores, row_max[:, None], out=probs)
-                np.exp(probs, out=probs)
-                np.divide(probs, row_sum[:, None], out=probs)
-                cols = slice(h * head_size, (h + 1) * head_size)
-                rows = slice(start, start + length)
-                np.matmul(probs, qkv[:, 2, h], out=out[rows, cols])
 
-    current_executor().map(run_bucket, range(len(buckets)))
+    def run_units(
+        bucket: LengthBucket,
+        units: tuple[int, int],
+        probs: np.ndarray,
+        scores: np.ndarray,
+    ) -> None:
+        """Run the bucket's tiles ``units[0]`` to ``units[1]`` through
+        one ``[L, L]`` tile (``scores`` may be ``probs``)."""
+        length = bucket.length
+        for unit in range(*units):
+            b, h = divmod(unit, num_heads)
+            start = int(bucket.rows[b, 0])
+            q, k, v = (
+                qkv_packed[start : start + length, cols] + qkv_bias[cols]
+                for cols in (
+                    slice(part * hidden + h * head_size,
+                          part * hidden + (h + 1) * head_size)
+                    for part in range(3)
+                )
+            )
+            np.matmul(q, k.T, out=scores)
+            scores *= scale
+            stats = partial_softmax_stats(scores)
+            row_max, row_sum = full_reduce_stats(*stats)
+            # apply_softmax_transform, written into the fp64 tile
+            np.subtract(scores, row_max[:, None], out=probs)
+            np.exp(probs, out=probs)
+            np.divide(probs, row_sum[:, None], out=probs)
+            cols = slice(h * head_size, (h + 1) * head_size)
+            np.matmul(probs, v, out=out[start : start + length, cols])
+
+    def run_tiles(item: tuple[int, int]) -> None:
+        """Run one run of one bucket's tiles, in its declared tile or a
+        borrowed one (returned even when the run raises)."""
+        i, run = item
+        bucket = buckets[i]
+        runs = tile_runs(bucket, num_heads, runs_each)
+        if bufs[i]:
+            tile = bufs[i][tile_name(run, len(runs))]
+            run_units(bucket, runs[run], tile, tile)
+            return
+        area = bucket.length * bucket.length
+        borrowed = free.get()
+        try:
+            probs, scores = (
+                buf[:area].reshape(bucket.length, bucket.length)
+                for buf in borrowed
+            )
+            run_units(bucket, runs[run], probs, scores)
+        finally:
+            free.put(borrowed)
+
+    executor.map(run_tiles, items)
     if scratch is not None:
         release_bucket_scratch(scratch, bufs)
     return out

@@ -45,7 +45,7 @@ Three measurements are reported:
   because every number is modelled-clock deterministic.
 * ``host_parallel`` — the Amdahl-cap breaker: one tile-quantized
   megabatch run serially vs fanned out over a ``workers``-wide thread
-  pool (contiguous segment chunks writing one arena buffer).
+  pool (row parts and attention buckets writing one arena buffer).
   Parallel outputs must be **bitwise** serial-equal with an identical
   launch stream; the nested ``fast_gelu`` block swaps in the tanh GELU
   and must land within the end-to-end tolerance ``layers *
@@ -629,7 +629,7 @@ def _host_parallel_section(
     workers: int,
     seed: int,
 ) -> dict[str, Any] | None:
-    """Megabatch segment fan-out: serial vs a ``workers``-wide thread pool.
+    """Megabatch fan-out: serial vs a ``workers``-wide thread pool.
 
     The whole batch is merged into one tile-quantized megabatch (the
     continuous-serving hot path) and run three ways on the numeric

@@ -222,8 +222,37 @@ def cmd_selftest(args: argparse.Namespace) -> int:
                     f"{'bitwise equal' if same else 'BITS DIFFER'}  "
                     f"{'ok' if ok else 'FAIL'}"
                 )
+    failed |= not _selftest_width_bits()
     print("selftest " + ("FAILED" if failed else "passed"))
     return 1 if failed else 0
+
+
+def _selftest_width_bits() -> bool:
+    """Capture, replay and a one-worker forward agree bit for bit at
+    hidden 500 (4 heads x 125), a ``k`` this CPU's BLAS may block
+    differently by thread count and row offset; prints one line."""
+    from repro.core.config import FUSED_MHA
+    from repro.core.model import BertEncoderModel
+    from repro.core.parallel import use_workers
+    from repro.gpusim.graph import GraphCache
+    from repro.workloads.generator import make_batch
+
+    config = BertConfig(num_heads=4, head_size=125, num_layers=1)
+    batch = make_batch(8, 256, config.hidden_size, alpha=0.6, seed=1)
+    x = batch.x.astype(np.float32)
+    model = BertEncoderModel(config, FUSED_MHA, graph_cache=GraphCache())
+    capture = model.forward(x, batch.mask, ctx=ExecutionContext())
+    replay = model.forward(x, batch.mask, ctx=ExecutionContext())
+    with use_workers(1):
+        one_worker = model.forward(x, batch.mask)
+    ok = np.array_equal(replay, capture) and np.array_equal(
+        one_worker, capture
+    )
+    print(
+        "  width 4x125 B8 S256 float32: capture, replay and one worker "
+        f"{'bitwise equal' if ok else 'BITS DIFFER'}  {'ok' if ok else 'FAIL'}"
+    )
+    return ok
 
 
 def _export_telemetry(tel, trace_out, metrics_out, process_name) -> None:

@@ -27,7 +27,12 @@ from repro.core.config import BertConfig, OptimizationConfig
 from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
 from repro.core.weights import LayerWeights
-from repro.gpusim.stream import ExecutionContext, resolve_context
+from repro.core.parallel import (
+    SPLIT_MIN_MULADDS,
+    current_executor,
+    row_parts,
+)
+from repro.gpusim.stream import ExecutionContext, NullContext, resolve_context
 from repro.kernels.activation import add_bias_gelu, resolve_gelu_variant
 from repro.kernels.batched_gemm import tile_gemm
 from repro.kernels.gemm import gemm
@@ -188,7 +193,8 @@ def encoder_layer_packed(
     ctx: ExecutionContext | None = None,
     scratch: LiveArena | None = None,
     out: np.ndarray | None = None,
-    kernel: str | None = None,
+    split: int = 1,
+    tile_split: int = 1,
 ) -> np.ndarray:
     """One encoder layer on a packed ``[T, H]`` activation tensor.
 
@@ -209,9 +215,19 @@ def encoder_layer_packed(
     request's buckets or a whole cross-request megabatch tile — rather
     than a call per segment.  Same launches, same bits, one dispatch.
 
-    ``kernel`` pins the fused-MHA kernel (see
-    :func:`~repro.attention.dispatch.byte_mha`) when ``packing`` is one
-    chunk of a larger batch.
+    ``split > 1`` fans each row-local op (the four projections, GELU
+    and both layernorms) out over the current executor, one op at a
+    time, on up to ``split`` row parts
+    (:func:`~repro.core.parallel.row_parts`), each part writing its
+    rows of the op's output — as long as every part's attention-output
+    GEMM keeps :data:`~repro.core.parallel.SPLIT_MIN_MULADDS`
+    multiply-adds.  On one BLAS thread a GEMM row keeps its bits under
+    a row split aligned to :data:`~repro.core.parallel.ROW_ALIGN`, so
+    the result is the unsplit layer's.  Attention fans its length
+    buckets out over the executor itself, and the long kernel also
+    splits a lone bucket's tiles ``tile_split`` ways (see
+    :func:`~repro.attention.fused_long.fused_long_mha`).  A split layer
+    runs numerics only: ``ctx`` must price nothing.
     """
     if not opt.remove_padding:
         raise ValueError(
@@ -228,24 +244,63 @@ def encoder_layer_packed(
     context = resolve_context(ctx)
     tokens = packing.total_tokens
     hidden = config.hidden_size
+    # the narrowest projection (attention output) sets the floor
+    parts = row_parts(tokens, split)
+    smallest = min(p.stop - p.start for p in parts) * hidden * hidden
+    if len(parts) == 1 or smallest < SPLIT_MIN_MULADDS:
+        parts = None
+    if parts is not None and not isinstance(context, NullContext):
+        raise ValueError("a split layer prices nothing; pass a NullContext")
 
     dt = x_packed.dtype
-    take = (
-        (lambda name, shape: scratch.take(name, shape, dt))
-        if scratch is not None
-        else None
-    )
-    qkv = take("qkv", (tokens, 3 * hidden)) if take else None
-    qkv = tile_gemm(
+    if scratch is not None:
+        def take(name: str, shape: tuple[int, ...]) -> np.ndarray | None:
+            return scratch.take(name, shape, dt)
+
+        release = scratch.release
+    else:
+        # a split op writes its parts into one preallocated output
+        def take(name: str, shape: tuple[int, ...]) -> np.ndarray | None:
+            return np.empty(shape, dt) if parts is not None else None
+
+        def release(name: str) -> None:
+            pass
+
+    def by_rows(op, dst: np.ndarray | None, *srcs: np.ndarray | None):
+        """``op(*srcs, dst)`` over every row, or over each row part of
+        the operands on the executor; returns the op's result."""
+        if parts is None:
+            return op(*srcs, dst)
+        current_executor().map(
+            lambda r: op(*(a[r] for a in srcs), dst[r]), parts
+        )
+        return dst
+
+    def project(w: np.ndarray, name: str, category: str):
+        def op(x: np.ndarray, dst: np.ndarray | None) -> np.ndarray:
+            offsets = (0, x.shape[0]) if parts else packing.seq_offsets
+            return tile_gemm(
+                x, w, segment_offsets=offsets, ctx=context, name=name,
+                category=category, out=dst,
+            )
+
+        return op
+
+    def layernorm(bias, gamma, beta, category: str):
+        def op(x, residual, tmp, dst):
+            return _layernorm_block(
+                x, bias, residual, gamma, beta, config.layernorm_eps,
+                opt.fuse_layernorm, category, context, out=dst, tmp=tmp,
+            )
+
+        return op
+
+    qkv = by_rows(
+        project(weights.qkv_weight, "gemm0_qkv", "gemm0"),
+        take("qkv", (tokens, 3 * hidden)),
         x_packed,
-        weights.qkv_weight,
-        segment_offsets=packing.seq_offsets,
-        ctx=context,
-        name="gemm0_qkv",
-        category="gemm0",
-        out=qkv,
     )
-    attn = take("attn", (tokens, hidden)) if take else None
+    attn = take("attn", (tokens, hidden))
     if opt.fused_mha:
         scheduler = (
             SchedulerKind.WARP_PREFETCH
@@ -262,86 +317,65 @@ def encoder_layer_packed(
             ctx=context,
             out=attn,
             scratch=scratch,
-            kernel=kernel,
+            split=tile_split,
         )
     else:
         attn = zeropad_softmax_mha(
             qkv, weights.qkv_bias, packing, config.num_heads, ctx=context,
             out=attn,
         )
-    if scratch is not None:
-        scratch.release("qkv")
-    proj = take("proj", (tokens, hidden)) if take else None
-    proj = tile_gemm(
+    release("qkv")
+    proj = by_rows(
+        project(weights.attn_out_weight, "gemm1_attn_out", "gemm1"),
+        take("proj", (tokens, hidden)),
         attn,
-        weights.attn_out_weight,
-        segment_offsets=packing.seq_offsets,
-        ctx=context,
-        name="gemm1_attn_out",
-        category="gemm1",
-        out=proj,
     )
-    if scratch is not None:
-        scratch.release("attn")
-        ln0_buf = take("ln0", (tokens, hidden))
-        ln_tmp = take("ln_tmp", (tokens, hidden))
-    else:
-        ln0_buf = ln_tmp = None
-    ln0 = _layernorm_block(
+    release("attn")
+    ln0_buf = take("ln0", (tokens, hidden))
+    ln0 = by_rows(
+        layernorm(
+            weights.attn_out_bias, weights.ln0_gamma, weights.ln0_beta,
+            "layernorm0",
+        ),
+        ln0_buf,
         proj,
-        weights.attn_out_bias,
         x_packed,
-        weights.ln0_gamma,
-        weights.ln0_beta,
-        config.layernorm_eps,
-        opt.fuse_layernorm,
-        "layernorm0",
-        context,
-        out=ln0_buf,
-        tmp=ln_tmp,
+        take("ln_tmp", (tokens, hidden)),
     )
-    if scratch is not None:
-        scratch.release("ln_tmp")
-        scratch.release("proj")
-        ffn_up = take("ffn_up", (tokens, config.ffn_size))
-        gelu_tmp = take("gelu_tmp", (tokens, config.ffn_size))
-    else:
-        ffn_up = gelu_tmp = None
-    ffn = _ffn_block(
-        ln0, weights, opt.fuse_gelu, context, ffn_up, gelu_tmp,
-        gelu_variant=resolve_gelu_variant(opt.gelu_variant),
-        segment_offsets=packing.seq_offsets,
-    )
-    if scratch is not None:
-        scratch.release("gelu_tmp")
-    down = take("ffn_down", (tokens, hidden)) if take else None
-    down = tile_gemm(
-        ffn,
-        weights.ffn_out_weight,
-        segment_offsets=packing.seq_offsets,
-        ctx=context,
-        name="gemm3_ffn_out",
-        category="gemm3",
-        out=down,
-    )
-    if scratch is not None:
-        scratch.release("ffn_up")
-        ln_tmp = take("ln_tmp", (tokens, hidden))
-    result = _layernorm_block(
-        down,
-        weights.ffn_out_bias,
+    release("ln_tmp")
+    release("proj")
+    gelu_variant = resolve_gelu_variant(opt.gelu_variant)
+    ffn_up = take("ffn_up", (tokens, config.ffn_size))
+    ffn = by_rows(
+        lambda x, tmp, dst: _ffn_block(
+            x, weights, opt.fuse_gelu, context, dst, tmp,
+            gelu_variant=gelu_variant,
+            segment_offsets=None if parts else packing.seq_offsets,
+        ),
+        ffn_up,
         ln0,
-        weights.ln1_gamma,
-        weights.ln1_beta,
-        config.layernorm_eps,
-        opt.fuse_layernorm,
-        "layernorm1",
-        context,
-        out=out,
-        tmp=ln_tmp if scratch is not None else None,
+        take("gelu_tmp", (tokens, config.ffn_size)),
     )
-    if scratch is not None:
-        scratch.release("ln_tmp")
-        scratch.release("ffn_down")
-        scratch.release("ln0")
+    release("gelu_tmp")
+    down = by_rows(
+        project(weights.ffn_out_weight, "gemm3_ffn_out", "gemm3"),
+        take("ffn_down", (tokens, hidden)),
+        ffn,
+    )
+    release("ffn_up")
+    if out is None and parts is not None:
+        out = np.empty((tokens, hidden), dt)
+    result = by_rows(
+        layernorm(
+            weights.ffn_out_bias, weights.ln1_gamma, weights.ln1_beta,
+            "layernorm1",
+        ),
+        out,
+        down,
+        ln0,
+        take("ln_tmp", (tokens, hidden)),
+    )
+    release("ln_tmp")
+    release("ffn_down")
+    release("ln0")
     return result

@@ -213,10 +213,9 @@ class LiveArena:
       ``begin``.  For a fixed shape signature the placement sequence is
       deterministic, so by the first post-growth forward every request is
       served from the backing buffer — the steady state.
-    * ``take``/``release`` are **not** thread-safe: parallel bucket
-      execution pre-acquires all buffers before fanning out, and each
-      thread-fanned segment chunk takes from its own lane
-      (:meth:`carve`).
+    * ``take``/``release`` are **not** thread-safe: every fan-out
+      (attention buckets, row-split ops) works in buffers taken before
+      it starts.
     """
 
     def __init__(self, alignment: int = 256) -> None:
@@ -232,8 +231,6 @@ class LiveArena:
         self._live_raw = 0
         self.peak_live_bytes = 0
         self._raw_sizes: dict[str, int] = {}
-        #: lanes carved in this forward, by name
-        self._lanes: dict[str, LiveArena] = {}
 
     @property
     def footprint_bytes(self) -> int:
@@ -253,7 +250,6 @@ class LiveArena:
         self._live_raw = 0
         self.peak_live_bytes = 0
         self._raw_sizes = {}
-        self._lanes = {}
         self.forwards += 1
 
     def take(
@@ -280,25 +276,6 @@ class LiveArena:
         """Return ``name``'s chunk to the free list (its view is dead)."""
         self._alloc.release(name)
         self._live_raw -= self._raw_sizes.pop(name)
-        lane = self._lanes.pop(name, None)
-        if lane is not None:
-            self.overflow_allocs += lane.overflow_allocs
-
-    def carve(self, name: str, nbytes: int) -> "LiveArena":
-        """A lane: ``nbytes`` of this forward's backing, taken as ``name``.
-
-        The lane is an arena of its own over that byte range, begun, for
-        one thread-fanned segment chunk to take from and release to
-        while other threads use other lanes.  It never grows: a take
-        past its end is served by ``np.empty``, and :meth:`release` of
-        ``name`` adds the lane's overflows to this arena's
-        :attr:`overflow_allocs`.
-        """
-        lane = type(self)(self.alignment)
-        lane._buf = self.take(name, (nbytes,), np.uint8)
-        lane.begin()
-        self._lanes[name] = lane
-        return lane
 
     def reserve(self, nbytes: int) -> None:
         """Pre-commit backing capacity: the next :meth:`begin` grows the
@@ -458,7 +435,7 @@ def attention_kernel(
 ) -> str | None:
     """The fused kernel a forward's attention runs, or ``None`` (no
     fused MHA, or ``mha`` forces a batched-GEMM path); the planner takes
-    its bucket scratch and a fanned forward's chunks all run it."""
+    its bucket scratch."""
     from repro.attention.dispatch import mha_kernel
 
     if not opt.fused_mha or mha in ("zeropad", "cublas"):
@@ -468,31 +445,62 @@ def attention_kernel(
     )
 
 
-def _plan_layers(
-    t: ActivationTrace,
+def plan_live_forward(
     config: BertConfig,
-    lens: np.ndarray,
+    opt: OptimizationConfig,
+    seq_lens: np.ndarray,
     max_seq_len: int,
-    kernel: str | None,
-    dtype: np.dtype | type,
-) -> None:
-    """Append the takes and releases of the layer stack over ``lens``
-    (the engine's, around its caller's ping-pong pair) to ``t``."""
+    *,
+    device: DeviceSpec,
+    mha: str | None = None,
+    dtype: np.dtype | type = np.float64,
+    tile: int | None = None,
+    tile_split: int = 1,
+) -> ActivationTrace:
+    """Symbolic take/release sequence of one *live* arena-backed forward.
+
+    Equal, event for event (name, bytes, order), to the
+    :class:`LiveArena` takes and releases of the vectorized packed
+    engine, then a free of whatever is still live, in ``dtype`` bytes
+    (not the fp16 deployment bytes of :func:`trace_encoder_layer`).
+    Attention follows the engine's dispatch: unless ``mha`` (the
+    dispatch override) forces ``"zeropad"``/``"cublas"``, a fused
+    forward picks its kernel with :func:`~repro.attention.dispatch.mha_kernel`
+    on ``device`` (that of the context its numerics run under) and takes
+    each bucket's :func:`~repro.attention.bucketed.bucket_scratch`
+    through the engine's own acquire/release helpers.  ``tile`` plans a
+    megabatch forward, whose output is ``[tile, H]``, not the padded
+    ``[B * max_seq_len, H]``.  ``tile_split`` is the long kernel's
+    (see :func:`~repro.attention.bucketed.tile_split`): a lone bucket
+    then takes one ``[L, L]`` tile per run.  Row-split ops take what
+    whole ones do.
+    """
     from repro.attention import bucketed
     from repro.core.padding import packing_from_lengths
 
+    if not opt.remove_padding:
+        raise ValueError(
+            "the live arena only backs the packed pipeline; "
+            "plan_live_forward needs remove_padding"
+        )
+    lens = np.asarray(seq_lens, dtype=np.int64)
     tokens = int(lens.sum())
     hidden = config.hidden_size
+    kernel = attention_kernel(config, opt, int(lens.max()), device, mha)
     buckets = []
     if kernel is not None:
         packing = packing_from_lengths(lens, max_seq_len, cache=None)
         buckets = bucketed.build_buckets(packing)
+    t = ActivationTrace()
+    t.take("h0", (tokens, hidden), dtype)
+    t.take("h1", (tokens, hidden), dtype)
     for _ in range(config.num_layers):
         t.take("qkv", (tokens, 3 * hidden), dtype)
         t.take("attn", (tokens, hidden), dtype)
         if buckets:
             scratch = bucketed.acquire_bucket_scratch(
-                t, kernel, buckets, config.num_heads, config.head_size, dtype
+                t, kernel, buckets, config.num_heads, config.head_size,
+                dtype, tile_split,
             )
             bucketed.release_bucket_scratch(t, scratch)
         t.release("qkv")
@@ -511,101 +519,9 @@ def _plan_layers(
         t.release("ln_tmp")
         t.release("ffn_down")
         t.release("ln0")
-
-
-def _check_packed(opt: OptimizationConfig) -> None:
-    if not opt.remove_padding:
-        raise ValueError(
-            "the live arena only backs the packed pipeline; "
-            "plan_live_forward needs remove_padding"
-        )
-
-
-def plan_live_forward(
-    config: BertConfig,
-    opt: OptimizationConfig,
-    seq_lens: np.ndarray,
-    max_seq_len: int,
-    *,
-    device: DeviceSpec,
-    mha: str | None = None,
-    dtype: np.dtype | type = np.float64,
-    tile: int | None = None,
-) -> ActivationTrace:
-    """Symbolic take/release sequence of one *live* arena-backed forward.
-
-    Equal, event for event (name, bytes, order), to the
-    :class:`LiveArena` takes and releases of the vectorized packed
-    engine, then a free of whatever is still live, in ``dtype`` bytes
-    (not the fp16 deployment bytes of :func:`trace_encoder_layer`).
-    Attention follows the engine's dispatch: unless ``mha`` (the
-    dispatch override) forces ``"zeropad"``/``"cublas"``, a fused
-    forward picks its kernel with :func:`~repro.attention.dispatch.mha_kernel`
-    on ``device`` (that of the context its numerics run under) and takes
-    each bucket's :func:`~repro.attention.bucketed.bucket_scratch`
-    through the engine's own acquire/release helpers.  ``tile`` plans a
-    megabatch forward, whose output is ``[tile, H]``, not the padded
-    ``[B * max_seq_len, H]``.
-    """
-    _check_packed(opt)
-    lens = np.asarray(seq_lens, dtype=np.int64)
-    tokens = int(lens.sum())
-    hidden = config.hidden_size
-    kernel = attention_kernel(config, opt, int(lens.max()), device, mha)
-    t = ActivationTrace()
-    t.take("h0", (tokens, hidden), dtype)
-    t.take("h1", (tokens, hidden), dtype)
-    _plan_layers(t, config, lens, max_seq_len, kernel, dtype)
     t.take("output", (tile or len(lens) * max_seq_len, hidden), dtype)
     t.free_all()
     return t
-
-
-def plan_fanned_forward(
-    config: BertConfig,
-    opt: OptimizationConfig,
-    seq_lens: np.ndarray,
-    max_seq_len: int,
-    chunks: list[tuple[int, int]],
-    *,
-    device: DeviceSpec,
-    mha: str | None = None,
-    dtype: np.dtype | type = np.float64,
-    tile: int | None = None,
-    alignment: int = 256,
-) -> tuple[ActivationTrace, list[ActivationTrace]]:
-    """Plans of a forward whose segment ``chunks`` run on worker threads.
-
-    Returns the arena's own plan and one plan per lane.  The arena
-    takes the packed ping-pong pair ``h0``/``h1`` as the serial forward
-    does, then one lane per chunk (``lane.{i}``), sized by the
-    :class:`ArenaAllocator` replay of that lane's plan.  Each lane
-    plans its chunk's layer stack with the kernel the whole forward
-    dispatches to, as its worker runs it.  The lanes are released once
-    every chunk is done, and the output is taken last, into the freed
-    lane space, as the serial forward takes it into freed layer
-    scratch.  Row-proportional buffers split exactly over chunks, so
-    the lanes together need about what the serial layer stack does.
-    """
-    _check_packed(opt)
-    lens = np.asarray(seq_lens, dtype=np.int64)
-    hidden = config.hidden_size
-    kernel = attention_kernel(config, opt, int(lens.max()), device, mha)
-    lanes = []
-    for s0, s1 in chunks:
-        lane = ActivationTrace()
-        _plan_layers(lane, config, lens[s0:s1], max_seq_len, kernel, dtype)
-        lanes.append(lane)
-    t = ActivationTrace()
-    t.take("h0", (int(lens.sum()), hidden), dtype)
-    t.take("h1", (int(lens.sum()), hidden), dtype)
-    for i, lane in enumerate(lanes):
-        t.take(f"lane.{i}", (ArenaAllocator(alignment).replay(lane),), np.uint8)
-    for i in range(len(lanes)):
-        t.release(f"lane.{i}")
-    t.take("output", (tile or len(lens) * max_seq_len, hidden), dtype)
-    t.free_all()
-    return t, lanes
 
 
 def plan_live_megabatch(

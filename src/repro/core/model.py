@@ -19,10 +19,15 @@ Two steady-state accelerators bolt on per instance:
   into the caller's context (bit-identical records, hooks still fire)
   instead of re-pricing every kernel.
 
-A numerics-only forward (every graph replay, every megabatch) fans its
-packed segments out in contiguous chunks over the current executor —
-by default one worker per usable host core — each chunk taking its
-scratch from its own lane of the arena; the bits are the serial
+Every forward runs its numerics one way: launch-free on the caller's
+device, whether it is priced or not.  A priced forward takes its launch
+stream from :func:`~repro.core.estimator.estimate_model`, which the
+lock-step tests hold equal to what the kernels record.  The packed
+numerics run on one BLAS thread, and all of their parallelism is the
+current executor's — by default one worker per usable host core: each
+layer fans its row-local ops out in aligned row parts and its attention
+out by length buckets (or, for a batch of one, by tiles), every op
+working in buffers taken before it fans out.  The bits are the serial
 forward's.
 """
 
@@ -36,13 +41,11 @@ from repro.attention.dispatch import forced_mha_path
 from repro.core.config import BertConfig, OptimizationConfig
 from repro.core.encoder import encoder_layer_packed, encoder_layer_padded
 from repro.core.engine import is_vectorized
-from repro.core.estimator import estimate_model_tiled
+from repro.core.estimator import estimate_model, estimate_model_tiled
 from repro.core.memory_planner import (
     ActivationTrace,
     ArenaAllocator,
     LiveArena,
-    attention_kernel,
-    plan_fanned_forward,
     plan_live_forward,
     plan_live_megabatch,
 )
@@ -50,16 +53,10 @@ from repro.core.padding import (
     CrossRequestPacking,
     PackedSeqs,
     pack,
-    packing_from_lengths,
     packing_from_mask,
     unpack,
 )
-from repro.core.parallel import (
-    SERIAL_EXECUTOR,
-    current_executor,
-    partition_weighted,
-    use_executor,
-)
+from repro.core.parallel import blas_pinned, current_executor
 from repro.core.sharding import ShardSpec
 from repro.core.weights import ModelWeights, init_model_weights
 from repro.gpusim.device import DeviceSpec
@@ -69,25 +66,6 @@ from repro.gpusim.stream import (
     NullContext,
     resolve_context,
 )
-
-
-#: the segment length at which a segment's attention (len² per
-#: segment) costs the host as much as its row-wise work (GEMMs, GELU,
-#: layernorm: len per segment); see :func:`segment_work`
-ATTENTION_BREAK_EVEN_LEN = 800
-
-
-def segment_work(seq_lens: np.ndarray) -> np.ndarray:
-    """Host work of each segment of a forward, for chunk balancing.
-
-    ``len + len² / ATTENTION_BREAK_EVEN_LEN``: the row-wise layers scale
-    with a segment's tokens and attention with their square, so
-    balancing tokens alone overloads the chunk with the long segments
-    (the Σlen² balance of the unpadded-BERT scaling literature), and
-    balancing squares alone overloads the one with the many short ones.
-    """
-    lens = np.asarray(seq_lens, dtype=np.float64)
-    return lens + lens * lens / ATTENTION_BREAK_EVEN_LEN
 
 
 @dataclass(frozen=True)
@@ -156,8 +134,8 @@ class BertEncoderModel:
         self.weights.precompute(self.config.num_heads)
         #: every input of each arena plan already reserved (tile or
         #: lengths, max_seq_len, dtype, forced path, dispatch device,
-        #: chunks) → the lane sizes of its fanned plan, if any
-        self._reserved_plans: dict[tuple, list[int] | None] = {}
+        #: tile split)
+        self._reserved_plans: dict[tuple, None] = {}
 
     def forward(
         self,
@@ -187,40 +165,63 @@ class BertEncoderModel:
             )
         context = resolve_context(ctx)
         flat = x.reshape(batch * seq_len, hidden)
+        out = self._forward_numeric(
+            flat, mask, batch, seq_len, NullContext(context.device)
+        )
+        if not isinstance(context, NullContext):
+            self._price(context, mask)
+        return out.reshape(batch, seq_len, hidden)
 
-        if self.graph_cache is None or isinstance(context, NullContext):
-            out = self._forward_numeric(flat, mask, batch, seq_len, context)
-            return out.reshape(batch, seq_len, hidden)
+    def _price(self, context: ExecutionContext, mask: np.ndarray) -> None:
+        """Record a forward's launch stream into ``context``.
 
-        # launch-graph path: the stream depends only on (device, model
-        # shape, preset, dispatch override, mask) — never on x's values —
-        # so same-key forwards replay the captured stream into the
-        # caller's context (hooks fire per replayed launch) while the
-        # numerics run launch-free under a NullContext on the caller's
-        # device, which picks the kernels the capture ran
+        The stream is :func:`~repro.core.estimator.estimate_model`'s for
+        the mask's lengths and the attention chain the numerics ran
+        (:meth:`_attention_path`); the lock-step tests hold it equal to
+        what the kernels record.  It depends only on (device, model
+        shape, preset, dispatch override, mask) — never on x's values —
+        so with a :attr:`graph_cache` the first forward per key
+        captures it and same-key forwards replay it into the caller's
+        context (hooks fire per replayed launch).
+        """
+        path = forced_mha_path()
+
+        def stream(ctx: ExecutionContext) -> None:
+            lens = np.asarray(mask.sum(axis=1), dtype=np.int64)
+            estimate_model(
+                ctx, self.config, self.opt, lens, mask.shape[1],
+                mha=self._attention_path(path),
+            )
+
+        if self.graph_cache is None:
+            stream(context)
+            return
         key = (
             context.device,
             self.config,
             self.opt,
-            forced_mha_path(),
+            path,
             mask.shape,
             mask.tobytes(),
         )
         graph = self.graph_cache.get(key)
         if graph is None:
-            graph, out = capture(
-                context.device,
-                lambda cap_ctx: self._forward_numeric(
-                    flat, mask, batch, seq_len, cap_ctx
-                ),
-            )
+            graph, _ = capture(context.device, stream)
             self.graph_cache.put(key, graph)
-        else:
-            out = self._forward_numeric(
-                flat, mask, batch, seq_len, NullContext(context.device)
-            )
         graph.replay(context)
-        return out.reshape(batch, seq_len, hidden)
+
+    def _attention_path(self, forced: str | None) -> str:
+        """The attention chain the numeric pipeline runs under the
+        dispatch override ``forced``, as :func:`estimate_model`'s
+        ``mha``: the padded pipeline always runs the cuBLAS batched-GEMM
+        chain, and the packed one ByteTransformer's fused kernels unless
+        the preset has none or the override picks a batched-GEMM path
+        (both of which run the zero-padding chain)."""
+        if not self.opt.remove_padding:
+            return "cublas"
+        if self.opt.fused_mha and forced in (None, "fused"):
+            return "fused"
+        return "zeropad"
 
     def forward_packed(
         self,
@@ -336,20 +337,10 @@ class BertEncoderModel:
         packing: PackedSeqs,
         dtype: np.dtype,
         device: DeviceSpec,
-        chunks: list[tuple[int, int]] | None,
-        tile: int | None = None,
-    ) -> list[int] | None:
-        """Reserve the backing for one forward's plans; the lane sizes.
-
-        A padded-input forward (``tile`` is ``None``) reserves the
-        larger of its serial plan and, when ``chunks`` would fan it
-        out, its fanned plan (:func:`plan_fanned_forward`).  A capture
-        runs serially and its replays fan out, so both are in place
-        from the first forward and a replay never grows the backing.  A
-        megabatch's serial plan is its tile's
-        (:meth:`prereserve_tiles`), so only a fanned one plans here.
-        Keyed by every input the plans read.
-        """
+        tile_split: int,
+    ) -> None:
+        """Reserve the backing for the one plan a padded-input forward
+        runs (:func:`plan_live_forward`), keyed by every input it reads."""
         path = forced_mha_path()
         key = (
             packing.seq_lens.tobytes(),
@@ -357,56 +348,59 @@ class BertEncoderModel:
             dtype.str,
             path,
             device,
-            tile,
-            None if chunks is None else tuple(chunks),
+            tile_split,
         )
         if key in self._reserved_plans:
-            return self._reserved_plans[key]
-        plans, lanes = [], None
-        if tile is None:
-            plans.append(
+            return
+        self._reserve(
+            [
                 plan_live_forward(
                     self.config, self.opt, packing.seq_lens,
                     packing.max_seq_len, device=device, mha=path,
-                    dtype=dtype,
+                    dtype=dtype, tile_split=tile_split,
                 )
-            )
-        if chunks is not None:
-            alignment = self.arena.alignment
-            fanned, lane_plans = plan_fanned_forward(
-                self.config, self.opt, packing.seq_lens,
-                packing.max_seq_len, chunks, device=device, mha=path,
-                dtype=dtype, tile=tile, alignment=alignment,
-            )
-            plans.append(fanned)
-            lanes = [ArenaAllocator(alignment).replay(p) for p in lane_plans]
-        self._reserve(plans)
-        if len(self._reserved_plans) >= self.RESERVED_PLANS:
-            # megabatch compositions are unbounded: forget the oldest
-            # (reserving again only recomputes its plans)
-            del self._reserved_plans[next(iter(self._reserved_plans))]
-        self._reserved_plans[key] = lanes
-        return lanes
-
-    def _segment_chunks(
-        self, packing: PackedSeqs
-    ) -> list[tuple[int, int]] | None:
-        """Deterministic contiguous segment chunks for executor fan-out.
-
-        ``None`` when fan-out cannot pay: a serial executor, a single
-        segment, or fewer than two resulting chunks.  Chunks are
-        balanced by segment work (:func:`segment_work`) via
-        :func:`~repro.core.parallel.partition_weighted`, so the same
-        lengths always split identically — the deterministic
-        segment→worker assignment behind the bitwise contract.
-        """
-        executor = current_executor()
-        if executor.workers <= 1 or packing.batch <= 1:
-            return None
-        chunks = partition_weighted(
-            segment_work(packing.seq_lens), executor.workers
+            ]
         )
-        return chunks if len(chunks) > 1 else None
+        if len(self._reserved_plans) >= self.RESERVED_PLANS:
+            # lengths are unbounded: forget the oldest (reserving again
+            # only recomputes its plan)
+            del self._reserved_plans[next(iter(self._reserved_plans))]
+        self._reserved_plans[key] = None
+
+    def _run_stack(
+        self,
+        h: np.ndarray,
+        packing: PackedSeqs,
+        context: ExecutionContext,
+        *,
+        nxt: np.ndarray | None = None,
+        tile_split: int = 1,
+    ) -> np.ndarray:
+        """Every layer over packed ``h`` on one BLAS thread, each op
+        fanned out over the current executor; returns the result.
+
+        Each layer splits its row-local ops over the executor's workers
+        and its attention over length buckets (and, ``tile_split``
+        ways, a lone bucket's long-kernel tiles): see
+        :func:`~repro.core.encoder.encoder_layer_packed`.  With the
+        arena (``nxt`` given), see :meth:`_layer_stack`.
+
+        Bitwise-equal to the serial stack.  The projection GEMMs never
+        run on OpenBLAS's threaded driver, which rounds differently
+        from the one-thread driver for some ``k`` (500, 700, 1000 and
+        2000 on one x86_64 host), so the bits would depend on the
+        thread count; all parallelism is the executor's.  On one thread
+        a GEMM row keeps its bits under a row split aligned to
+        :data:`~repro.core.parallel.ROW_ALIGN`, every other op is row- or
+        tile-local, and attention runs on one BLAS thread over buckets
+        of the whole batch.
+        """
+        with blas_pinned():
+            return self._layer_stack(
+                h, packing, context,
+                scratch=self.arena if nxt is not None else None, nxt=nxt,
+                split=current_executor().workers, tile_split=tile_split,
+            )
 
     def _layer_stack(
         self,
@@ -416,12 +410,16 @@ class BertEncoderModel:
         *,
         scratch: LiveArena | None = None,
         nxt: np.ndarray | None = None,
-        kernel: str | None = None,
+        split: int = 1,
+        tile_split: int = 1,
     ) -> np.ndarray:
         """Every layer over the packed rows ``cur``; returns the result.
 
         With ``scratch``, layers ping-pong between ``cur`` and ``nxt``
         and the result is whichever of the two the last layer wrote.
+        Unsplit (the defaults), it runs under any context: under a
+        recording one, the kernels record the stream a priced forward
+        takes from the estimator.
         """
         for layer in self.weights.layers:
             result = encoder_layer_packed(
@@ -433,84 +431,13 @@ class BertEncoderModel:
                 ctx=context,
                 scratch=scratch,
                 out=nxt,
-                kernel=kernel,
+                split=split,
+                tile_split=tile_split,
             )
             if scratch is not None:
                 nxt = cur
             cur = result
         return cur
-
-    def _run_stack(
-        self,
-        h: np.ndarray,
-        packing: PackedSeqs,
-        context: ExecutionContext,
-        chunks: list[tuple[int, int]] | None,
-        *,
-        nxt: np.ndarray | None = None,
-        lanes: list[int] | None = None,
-    ) -> np.ndarray:
-        """The layer stack over packed ``h``: serially, or with its
-        segment ``chunks`` fanned out over the executor.
-
-        Each chunk runs the whole stack over its contiguous row range —
-        **one** tile GEMM per projection covering all of its segments —
-        with the attention kernel the whole batch dispatches to.  With
-        the arena, chunk ``i`` takes its scratch from a lane of
-        ``lanes[i]`` bytes (:meth:`LiveArena.carve`) and ping-pongs
-        between its rows of ``h`` and ``nxt``, exactly as the serial
-        arena path does over all rows; without it, chunks write their
-        rows of a fresh buffer.
-
-        Bitwise-equal to the serial stack: a projection GEMM's row
-        keeps its bits under any row split and BLAS thread count at
-        BERT's ``k`` (see :func:`~repro.core.parallel.one_blas_thread`),
-        every non-GEMM op is row- or segment-local, and attention runs
-        on one BLAS thread over composition-invariant buckets (the
-        megabatch-vs-per-request equivalence the packing tests pin
-        down).
-        """
-        arena = self.arena if nxt is not None else None
-        if chunks is None:
-            return self._layer_stack(h, packing, context, scratch=arena, nxt=nxt)
-        kernel = attention_kernel(
-            self.config, self.opt, int(packing.seq_lens.max()),
-            context.device, forced_mha_path(),
-        )
-        offsets = packing.seq_offsets
-        subs = [
-            packing_from_lengths(
-                packing.seq_lens[s0:s1], packing.max_seq_len, cache=None
-            )
-            for s0, s1 in chunks
-        ]
-        scratch = (
-            [arena.carve(f"lane.{i}", n) for i, n in enumerate(lanes)]
-            if arena is not None
-            else None
-        )
-        out = nxt if arena is not None else np.empty_like(h)
-
-        def run_chunk(i: int) -> None:
-            s0, s1 = chunks[i]
-            rows = slice(int(offsets[s0]), int(offsets[s1]))
-            if scratch is None:
-                out[rows] = self._layer_stack(
-                    h[rows], subs[i], context, kernel=kernel
-                )
-            else:
-                self._layer_stack(
-                    h[rows], subs[i], context,
-                    scratch=scratch[i], nxt=nxt[rows], kernel=kernel,
-                )
-
-        current_executor().map(run_chunk, range(len(chunks)))
-        if arena is None:
-            return out
-        for i in range(len(chunks)):
-            arena.release(f"lane.{i}")
-        # every chunk ping-pongs the same number of times
-        return nxt if len(self.weights.layers) % 2 else h
 
     def _arena_engaged(self, dtype: np.dtype) -> bool:
         return (
@@ -522,32 +449,28 @@ class BertEncoderModel:
     def _forward_numeric_packed(
         self, x_tile: np.ndarray, mega: CrossRequestPacking
     ) -> np.ndarray:
-        """Megabatch numerics under a NullContext; returns [tile, H]."""
+        """Megabatch numerics under a NullContext; returns [tile, H].
+
+        Its backing is the tile's plan, which holds one long-kernel
+        tile per bucket, so a lone bucket's tiles are not split.
+        """
         context = NullContext()
         hidden = self.config.hidden_size
         total = mega.total_tokens
         packing = mega.packing
         x_valid = x_tile[:total]
         dt = x_tile.dtype
-        chunks = self._segment_chunks(packing)
         if not self._arena_engaged(dt):
             out = np.zeros((mega.tile, hidden), dtype=dt)
-            out[:total] = self._run_stack(x_valid, packing, context, chunks)
+            out[:total] = self._run_stack(x_valid, packing, context)
             return out
         arena = self.arena
         self.prereserve_tiles((mega.tile,), packing.max_seq_len, dt)
-        lanes = (
-            self._reserve_forward(
-                packing, dt, context.device, chunks, tile=mega.tile
-            )
-            if chunks is not None
-            else None
-        )
         arena.begin()
         cur = arena.take("h0", (total, hidden), dt)
         nxt = arena.take("h1", (total, hidden), dt)
         np.copyto(cur, x_valid)
-        cur = self._run_stack(cur, packing, context, chunks, nxt=nxt, lanes=lanes)
+        cur = self._run_stack(cur, packing, context, nxt=nxt)
         out = arena.take("output", (mega.tile, hidden), dt)
         np.copyto(out[:total], cur)
         out[total:] = 0.0
@@ -559,15 +482,16 @@ class BertEncoderModel:
         mask: np.ndarray,
         batch: int,
         seq_len: int,
-        context: ExecutionContext,
+        context: NullContext,
     ) -> np.ndarray:
-        """One forward on the flat ``[B*S, H]`` tensor; returns flat out.
+        """One forward's numerics on the flat ``[B*S, H]`` tensor,
+        launch-free under ``context``; returns the flat output.
 
-        A numerics-only forward (under a :class:`NullContext`) fans its
-        segment chunks out over the executor.  One that records launches
-        (a capture, an uncached priced forward) runs serially: its
-        stream and its peak memory are the serial forward's.  It still
-        reserves the arena for the fanned replays that follow it.
+        The packed pipeline packs, runs the layer stack fanned out over
+        the current executor (:meth:`_run_stack`) and unpacks; with the
+        arena, its backing is reserved for exactly the plan the forward
+        runs, so even the first forward per shape is served entirely
+        from it.
         """
         if not self.opt.remove_padding:
             out = flat
@@ -578,38 +502,24 @@ class BertEncoderModel:
             # zero the padding so padded and packed pipelines agree exactly
             return out * mask.reshape(batch * seq_len, 1)
         packing = packing_from_mask(mask, ctx=context)
-        fanned = self._segment_chunks(packing)
-        if isinstance(context, NullContext):
-            return self._forward_rows(flat, packing, context, fanned, fanned)
-        with use_executor(SERIAL_EXECUTOR):
-            return self._forward_rows(flat, packing, context, None, fanned)
-
-    def _forward_rows(
-        self,
-        flat: np.ndarray,
-        packing: PackedSeqs,
-        context: ExecutionContext,
-        chunks: list[tuple[int, int]] | None,
-        fanned: list[tuple[int, int]] | None,
-    ) -> np.ndarray:
-        """The packed pipeline over padded rows: pack, the layer stack
-        (fanned out over ``chunks``), unpack."""
+        tile_split = current_executor().workers
         dt = flat.dtype
         if not self._arena_engaged(dt):
             hidden_state = pack(flat, packing, ctx=context)
-            hidden_state = self._run_stack(hidden_state, packing, context, chunks)
+            hidden_state = self._run_stack(
+                hidden_state, packing, context, tile_split=tile_split
+            )
             return unpack(hidden_state, packing, ctx=context)
         arena = self.arena
         tokens, hidden = packing.total_tokens, self.config.hidden_size
-        # pre-size the backing from the shape's symbolic plans so even
-        # the first forward per shape is served entirely from the
-        # backing — zero warm-up np.empty overflows
-        lanes = self._reserve_forward(packing, dt, context.device, fanned)
+        self._reserve_forward(packing, dt, context.device, tile_split)
         arena.begin()
         cur = arena.take("h0", (tokens, hidden), dt)
         nxt = arena.take("h1", (tokens, hidden), dt)
         pack(flat, packing, ctx=context, out=cur)
-        cur = self._run_stack(cur, packing, context, chunks, nxt=nxt, lanes=lanes)
+        cur = self._run_stack(
+            cur, packing, context, nxt=nxt, tile_split=tile_split
+        )
         out = arena.take("output", (packing.padded_rows, hidden), dt)
         unpack(cur, packing, ctx=context, out=out)
         return out

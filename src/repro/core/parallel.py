@@ -1,23 +1,23 @@
 """Worker-pool execution of independent work units.
 
-Length buckets share no data — each bucket reads its own gather of the
-packed QKV tensor and scatters to a disjoint row set of the output — and
-independent serving requests are likewise disjoint.  This module provides
-the executor both fan-outs use: :class:`BucketExecutor`, a thin thread
+Length buckets share no data — each bucket reads its own rows of the
+packed QKV tensor and scatters to a disjoint row set of the output —
+the row parts of a row-local op write disjoint rows, and independent
+serving requests are likewise disjoint.  This module provides the
+executor every fan-out uses: :class:`BucketExecutor`, a thin thread
 pool (NumPy's BLAS and ufunc loops release the GIL, so threads give real
-parallelism on the matmul-heavy bucket bodies) with a serial fast path
-when ``workers == 1`` or there is only one item, so the default
+parallelism on the matmul-heavy bodies) with a serial fast path when
+``workers == 1`` or there is only one item, so the default
 configuration adds zero overhead and an identical execution order.
 
 Deterministic assignment: :func:`partition_weighted` cuts an item list
-into *contiguous* chunks balanced by weight, so the same inputs always
-land on the same worker in the same order — the property the bitwise
-serial-equivalence contract rests on.
+into *contiguous* chunks balanced by weight, and :func:`row_parts` cuts
+rows at multiples of :data:`ROW_ALIGN`, so the same inputs always split
+the same way — and a one-thread GEMM cut there keeps its bits.
 
 Thread-safety contract: submitted callables must not allocate from a
-shared :class:`~repro.core.memory_planner.LiveArena` (the engine
-pre-acquires every bucket's scratch before fanning out, and a segment
-chunk takes from its own lane of the arena) and must not touch the
+shared :class:`~repro.core.memory_planner.LiveArena` (the engine takes
+every buffer a fan-out writes before it starts) and must not touch the
 module-global engine/dispatch switches (callers set those before the
 fan-out).
 
@@ -25,8 +25,9 @@ Host default: a thread with no executor active runs on a process-wide
 executor as wide as the host's usable cores (:func:`current_executor`).
 OpenBLAS threads would oversubscribe the cores the pool already uses,
 so every real fan-out pins OpenBLAS to one thread for its length and
-restores the previous count afterwards (:func:`blas_pinned`); outside a
-fan-out, small-M GEMMs keep every BLAS thread.  Without a BLAS thread
+restores the previous count afterwards (:func:`blas_pinned`).  The
+packed encoder runs on one BLAS thread whether it fans out or not, and
+decode's small-M GEMMs keep every BLAS thread.  Without a BLAS thread
 control the default stays serial.
 """
 
@@ -50,9 +51,37 @@ __all__ = [
     "host_executor",
     "one_blas_thread",
     "partition_weighted",
+    "row_parts",
     "use_executor",
     "use_workers",
 ]
+
+#: a one-thread GEMM cut into row parts at multiples of this many rows
+#: gives the whole call's bits: it is a multiple of every BLAS
+#: micro-kernel height (OpenBLAS blocks ``m`` in 4 to 32 rows, 12 for
+#: one x86_64 dgemm kernel), so every row stays in the micro-tile the
+#: whole call puts it in.  A cut elsewhere moves rows between the main
+#: and the tail kernels, which round differently at some ``k``
+ROW_ALIGN = 96
+
+#: the fewest multiply-adds a row part of a split GEMM may have.
+#: OpenBLAS runs products below about 10^6 on separate small-matrix
+#: kernels, which round differently, so a part must stay above that on
+#: any build
+SPLIT_MIN_MULADDS = 1 << 22
+
+
+def row_parts(rows: int, parts: int) -> list[slice]:
+    """``rows`` cut into at most ``parts`` contiguous, near-equal row
+    ranges, every inner boundary a multiple of :data:`ROW_ALIGN` and
+    every range at least half of it (one range below two alignments)."""
+    parts = max(1, min(int(parts), rows // ROW_ALIGN))
+    bounds = [0]
+    for i in range(1, parts):
+        bounds.append(int(rows * i / parts / ROW_ALIGN + 0.5) * ROW_ALIGN)
+    bounds.append(rows)
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
 
 def partition_weighted(
     weights: Sequence[float] | np.ndarray,
@@ -201,11 +230,10 @@ def one_blas_thread(fn: Callable[..., Any]) -> Callable[..., Any]:
     per-head ``probs @ v`` past 384 keys, or an fp64 ``q @ k.T`` past
     about 90, rounds differently by thread count.  A kernel that always
     runs on one BLAS thread gives the same bits inline, on a pool
-    worker and on a one-core host.  The projection GEMMs keep every
-    thread outside a fan-out: at BERT's ``k`` (768, 1024, 3072) both
-    drivers block it alike, but some other ``k`` (500, 700, 1000) they
-    do not, and a fanned forward of such a model is not bitwise equal
-    to its serial capture.
+    worker and on a one-core host.  The packed encoder's projection
+    GEMMs follow the same rule (the model pins its whole layer stack):
+    at BERT's ``k`` (768, 1024, 3072) both drivers block alike, but at
+    some other ``k`` (500, 700, 1000, 2000) they do not.
     """
 
     @functools.wraps(fn)
@@ -275,8 +303,8 @@ SERIAL_EXECUTOR = BucketExecutor(1)
 
 # The executor stack is *per-thread*: a pool worker thread starts with
 # SERIAL_EXECUTOR on its stack and therefore runs its own nested
-# fan-outs (e.g. the attention bucket loop inside a segment chunk)
-# serially — submitting back into the pool you are a worker of is a
+# fan-outs (e.g. the attention bucket loop inside a serving worker's
+# forward) serially — submitting back into the pool you are a worker of is a
 # deadlock.
 _tls = threading.local()
 

@@ -363,8 +363,8 @@ class _EncoderPlanner:
             # padded-preset numerics model serves per request below
             # (same bits — every pipeline computes the same function).
             # forward_packed consults the current executor: with workers
-            # it fans contiguous segment chunks out (bitwise-equal to
-            # serial by the deterministic-assignment contract).
+            # it fans each op out by rows and attention buckets
+            # (bitwise-equal to serial by the aligned row split).
             x_tile, mega = build_megabatch(
                 requests,
                 lambda r: self._request_input(r)[0][0],

@@ -151,6 +151,33 @@ def test_long_path_bitwise_beyond_one_epilogue_tile(
         _assert_records_identical(ctx_loop.records, ctx_vec.records)
 
 
+@pytest.mark.parametrize("lens", [[150], list(range(40, 29, -1))])
+def test_long_path_tiles_lent_under_contention(lens):
+    """More workers than cores and a tiny switch interval: the runs
+    borrowing the calling thread's tiles (and a lone bucket's runs
+    splitting its tiles) still give the serial bits."""
+    import sys
+
+    packing = packing_from_lengths(
+        np.asarray(lens, dtype=np.int64), max(lens), cache=None
+    )
+    rng = np.random.default_rng(3)
+    qkv = rng.standard_normal((packing.total_tokens, 3 * HIDDEN))
+    qkv = qkv.astype(np.float32)
+    bias = rng.standard_normal(3 * HIDDEN).astype(np.float32)
+    with use_workers(1):
+        want = fused_long_mha(qkv, bias, packing, NUM_HEADS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with use_workers(6):
+            for _ in range(5):
+                got = fused_long_mha(qkv, bias, packing, NUM_HEADS, split=6)
+                assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("step", [8, 32, 64])
 def test_quantized_buckets_match_exact(step):
     """Padded+masked quantized buckets agree with exact buckets 1e-6."""

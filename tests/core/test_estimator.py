@@ -1,8 +1,11 @@
 """Estimator-vs-numeric lock-step: the guarantee behind fast sweeps.
 
 For every optimisation preset, the shape-only estimator must record
-*exactly* the kernel sequence the numeric model records — same names,
-grids, FLOPs, bytes, and therefore identical modelled times.
+*exactly* the kernel sequence the numeric kernels record — same names,
+grids, FLOPs, bytes, and therefore identical modelled times.  A priced
+forward records the estimator's stream itself, so the numeric side is
+the kernels driven under a recording context
+(:func:`tests.core.lockstep.numeric_stream`).
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ from repro.core.estimator import (
 )
 from repro.core.model import BertEncoderModel
 from repro.gpusim import ExecutionContext
+from tests.core.lockstep import numeric_stream
 
 
 def signature(ctx):
@@ -39,8 +43,7 @@ class TestLockStep:
         self, opt, small_config, small_weights, small_batch
     ):
         model = BertEncoderModel(small_config, opt, weights=small_weights)
-        numeric = ExecutionContext()
-        model.forward(small_batch.x, small_batch.mask, ctx=numeric)
+        numeric = numeric_stream(model, small_batch.x, small_batch.mask)
 
         estimated = ExecutionContext()
         estimate_model(
@@ -59,8 +62,7 @@ class TestLockStep:
         self, opt, small_config, small_weights, small_batch
     ):
         model = BertEncoderModel(small_config, opt, weights=small_weights)
-        numeric = ExecutionContext()
-        model.forward(small_batch.x, small_batch.mask, ctx=numeric)
+        numeric = numeric_stream(model, small_batch.x, small_batch.mask)
 
         estimated = ExecutionContext()
         estimate_model(

@@ -17,11 +17,10 @@ from repro.core.config import RM_PADDING, STEPWISE_PRESETS, BertConfig
 from repro.core.memory_planner import (
     ArenaAllocator,
     LiveArena,
-    plan_fanned_forward,
     plan_live_forward,
     plan_live_megabatch,
 )
-from repro.core.model import BertEncoderModel, segment_work
+from repro.core.model import BertEncoderModel
 from repro.core.padding import (
     merge_request_lengths,
     pack_segments,
@@ -30,7 +29,6 @@ from repro.core.padding import (
 from repro.core.parallel import (
     SERIAL_EXECUTOR,
     host_executor,
-    partition_weighted,
     use_executor,
     use_workers,
 )
@@ -82,14 +80,13 @@ class RecordingArena(LiveArena):
     Every float view it hands out is first filled with NaN, and must
     hold no NaN when it is released (or when the forward ends): a buffer
     that is taken but never written, or read before it is written, shows
-    up.  Lanes it carves are recording arenas too, kept in :attr:`lanes`.
+    up.
     """
 
     def begin(self):
         super().begin()
         self.events = []
         self._views = {}
-        self.lanes = []
 
     def take(self, name, shape, dtype=np.float64):
         view = super().take(name, shape, dtype)
@@ -98,11 +95,6 @@ class RecordingArena(LiveArena):
         self._views[name] = view
         self.events.append((name, view.nbytes))
         return view
-
-    def carve(self, name, nbytes):
-        lane = super().carve(name, nbytes)
-        self.lanes.append(lane)
-        return lane
 
     def release(self, name):
         view = self._views.pop(name)
@@ -121,7 +113,7 @@ class RecordingArena(LiveArena):
 
 
 def _assert_written(name, view):
-    if view.dtype.kind != "f":  # a lane: its own takes are checked
+    if view.dtype.kind != "f":
         return
     unwritten = int(np.isnan(view).sum())
     if unwritten:
@@ -280,31 +272,21 @@ class TestPlannerAgreement:
                 x, mask = _batch(lengths, dtype=dtype, max_seq=max_seq)
                 model.forward(x, mask)
         arena = model.arena
-        if workers == 1 or len(lengths) == 1:
-            plan = plan_live_forward(
-                config, opt, np.array(lengths), max_seq,
-                device=A100_SPEC, mha=path, dtype=dtype, tile=tile,
-            )
-            assert arena.closed_events() == _plan_events(plan)
-            assert arena.lanes == []
-            return
-        # each chunk worker's lane takes exactly its lane plan
-        chunks = partition_weighted(segment_work(lengths), workers)
-        plan, lane_plans = plan_fanned_forward(
-            config, opt, np.array(lengths), max_seq, chunks,
+        # a forward's long kernel splits a lone bucket's tiles over the
+        # workers (a megabatch's does not); row-split ops take what
+        # whole ones do
+        plan = plan_live_forward(
+            config, opt, np.array(lengths), max_seq,
             device=A100_SPEC, mha=path, dtype=dtype, tile=tile,
-            alignment=arena.alignment,
+            tile_split=1 if megabatch else workers,
         )
         assert arena.closed_events() == _plan_events(plan)
-        assert [lane.closed_events() for lane in arena.lanes] == [
-            _plan_events(p) for p in lane_plans
-        ]
         assert arena.overflow_allocs == 0
 
 
 class TestHostDefaultFanout:
-    """A numerics-only forward fans its segment chunks out over the host
-    default executor; a forward that records launches runs serially."""
+    """Every forward fans its ops out over the host default executor, a
+    priced one included, and keeps the serial bits."""
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
@@ -335,21 +317,14 @@ class TestHostDefaultFanout:
         fanned = model()
         got = fanned.forward(x, mask)
         assert np.array_equal(got, want)
-        workers = host_executor().workers
         if arena:
             assert fanned.arena.overflow_allocs == 0
-            lanes = [lane.closed_events() for lane in fanned.arena.lanes]
-            if workers == 1:
-                assert lanes == []
-            else:
-                chunks = partition_weighted(segment_work(lengths), workers)
-                _, lane_plans = plan_fanned_forward(
-                    CONFIG, opt, np.array(lengths), max_seq, chunks,
-                    device=A100_SPEC, dtype=dtype,
-                    alignment=fanned.arena.alignment,
-                )
-                assert lanes == [_plan_events(p) for p in lane_plans]
-        # a capture (serial) and a replay (fanned numerics) price the
+            plan = plan_live_forward(
+                CONFIG, opt, np.array(lengths), max_seq, device=A100_SPEC,
+                dtype=dtype, tile_split=host_executor().workers,
+            )
+            assert fanned.arena.closed_events() == _plan_events(plan)
+        # a capture and a replay (both fanned numerics) price the
         # serial stream and keep the serial bits
         for _ in range(2):
             ctx = ExecutionContext()
@@ -475,9 +450,9 @@ class TestPlanReserveKeys:
 
 class TestChunkedMegabatchReserve:
     def test_thread_fanout_serves_lanes_from_the_backing(self):
-        # each chunk worker takes its scratch from its own lane: the
-        # backing is the larger of the tile's serial plans and this
-        # megabatch's fanned plan, and nothing overflows it
+        # the fanned megabatch's ops work in the buffers a serial one
+        # takes: the backing is the tile's plans, and nothing overflows
+        # it
         lengths, tile = [100, 90, 80, 60], 512
         x_tile, mega = _megabatch(lengths, 128, tile, np.float64)
         with use_executor(SERIAL_EXECUTOR):
@@ -488,14 +463,7 @@ class TestChunkedMegabatchReserve:
         with use_workers(2):
             got = model.forward_packed(x_tile.copy(), mega)
             got_again = model.forward_packed(x_tile.copy(), mega)
-        chunks = partition_weighted(segment_work(lengths), 2)
-        fanned, _ = plan_fanned_forward(
-            CONFIG, FUSED, np.array(lengths), 128, chunks,
-            device=A100_SPEC, tile=tile,
-        )
-        plans = plan_live_megabatch(
-            CONFIG, FUSED, tile, 128, device=A100_SPEC
-        ) + [fanned]
+        plans = plan_live_megabatch(CONFIG, FUSED, tile, 128, device=A100_SPEC)
         assert arena.footprint_bytes == max(
             ArenaAllocator(arena.alignment).replay(p) for p in plans
         )
@@ -589,3 +557,29 @@ class TestScratchPool:
         t.start()
         t.join()
         assert not np.shares_memory(mine, theirs[0])
+
+
+class TestSplitLayers:
+    """A batch of one fans each op out: row parts of the row-local ops
+    and one long-kernel tile per worker, planned like any forward."""
+
+    def test_single_segment_split_is_planned_and_serial_exact(self):
+        config = BertConfig(num_layers=1, num_heads=8, head_size=64)
+        opt = dataclasses.replace(FUSED, fused_mha_short_max_seq=128)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((1, 300, config.hidden_size))
+        mask = np.ones((1, 300), dtype=np.int64)
+        with use_workers(1):
+            want = BertEncoderModel(config, opt, seed=2).forward(x, mask)
+        model = BertEncoderModel(config, opt, seed=2, arena=RecordingArena())
+        with use_workers(2):
+            got = model.forward(x, mask)
+        assert np.array_equal(got, want)
+        events = model.arena.closed_events()
+        assert ("mha.0.tile.1", 300 * 300 * 8) in events
+        plan = plan_live_forward(
+            config, opt, np.array([300]), 300, device=A100_SPEC,
+            dtype=np.float64, tile_split=2,
+        )
+        assert events == _plan_events(plan)
+        assert model.arena.overflow_allocs == 0

@@ -1,9 +1,11 @@
-"""Property-based lock-step: estimator == numeric model on random shapes.
+"""Property-based lock-step: estimator == numeric kernels on random shapes.
 
 The fixed-shape lock-step tests in ``test_estimator.py`` pin one
 configuration; here hypothesis draws random small architectures and
 length vectors and requires byte-for-byte identical launch sequences for
-every optimisation preset and device.
+every optimisation preset and device.  The numeric side is the stream
+the kernels themselves record (:func:`tests.core.lockstep.numeric_stream`):
+a priced forward records the estimator's stream, so it cannot stand in.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.core.model import BertEncoderModel
 from repro.core.weights import init_model_weights
 from repro.gpusim import A10_SPEC, A100_SPEC, V100_SPEC, ExecutionContext
 from repro.workloads.generator import make_batch
+from tests.core.lockstep import numeric_stream
 
 configs = st.builds(
     BertConfig,
@@ -59,8 +62,7 @@ class TestLockStepProperty:
             mask[b, :length] = 1
         x *= mask[:, :, None]
 
-        numeric = ExecutionContext()
-        model.forward(x, mask, ctx=numeric)
+        numeric = numeric_stream(model, x, mask)
         estimated = ExecutionContext()
         estimate_model(
             estimated, config, preset, np.asarray(lens), max_seq
@@ -78,8 +80,7 @@ class TestLockStepProperty:
         batch = make_batch(4, 64, config.hidden_size, alpha=0.6, seed=4)
         for preset in STEPWISE_PRESETS:
             model = BertEncoderModel(config, preset, weights=weights)
-            numeric = ExecutionContext(device)
-            model.forward(batch.x, batch.mask, ctx=numeric)
+            numeric = numeric_stream(model, batch.x, batch.mask, device)
             estimated = ExecutionContext(device)
             estimate_model(
                 estimated,
@@ -92,3 +93,29 @@ class TestLockStepProperty:
             assert estimated.elapsed_us() == pytest.approx(
                 numeric.elapsed_us()
             )
+
+    def test_planted_kernel_mismatch_fails(self, monkeypatch):
+        """A numeric dispatch that disagrees with ``mha_kernel`` breaks
+        the lock-step; a priced forward's stream cannot show it."""
+        from repro.attention import dispatch
+        from repro.core.config import FUSED_MHA
+
+        config = BertConfig(num_heads=4, head_size=16, num_layers=1)
+        model = BertEncoderModel(config, FUSED_MHA, seed=0)
+        batch = make_batch(3, 32, config.hidden_size, alpha=0.6, seed=2)
+        estimated = ExecutionContext()
+        estimate_model(
+            estimated, config, FUSED_MHA, batch.seq_lens, batch.max_seq_len
+        )
+        assert signature(
+            numeric_stream(model, batch.x, batch.mask)
+        ) == signature(estimated)
+        # the numerics now run the long kernel where mha_kernel (and so
+        # the estimator) picks the short one
+        monkeypatch.setattr(dispatch, "mha_kernel", lambda *args: "long")
+        assert signature(
+            numeric_stream(model, batch.x, batch.mask)
+        ) != signature(estimated)
+        priced = ExecutionContext()
+        model.forward(batch.x, batch.mask, ctx=priced)
+        assert signature(priced) == signature(estimated)

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import parallel
 from repro.core.parallel import (
@@ -306,3 +308,18 @@ class TestPartitionWeighted:
                 bound = float(np.max(lens.astype(np.float64) ** 2))
                 assert np.max(work) <= ideal + bound + 1e-6
                 assert np.min(work) >= ideal - bound - 1e-6
+
+
+class TestRowParts:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(rows=st.integers(1, 5000), parts=st.integers(1, 8))
+    def test_aligned_cover(self, rows, parts):
+        from repro.core.parallel import ROW_ALIGN, row_parts
+
+        cut = row_parts(rows, parts)
+        assert cut[0].start == 0 and cut[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(cut, cut[1:]))
+        assert all(p.start % ROW_ALIGN == 0 for p in cut)
+        assert len(cut) <= max(1, min(parts, rows // ROW_ALIGN))
+        if len(cut) > 1:
+            assert min(p.stop - p.start for p in cut) >= ROW_ALIGN // 2

@@ -41,9 +41,9 @@ above)::
     perfbench/run.py --workload <w> --seed 1 --seconds 3 --trace 0
         (once for each of the three workloads)
 
-The ``--workers 2`` leg and the encoder-offline perfbench run (its
-graph replays fan out over the host default executor) reach the chunk
-path of ``BertEncoderModel._run_stack``.
+The ``--workers 2`` leg and the encoder-offline perfbench run (every
+forward fans out over the host default executor) reach the row-split
+path of ``encoder_layer_packed``.
 ``perfbench/run.py`` re-executes itself unless ``PYTHONHASHSEED=0`` is
 already set, which would drop the tracer, so set it for those runs.
 Child processes are not traced.
