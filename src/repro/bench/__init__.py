@@ -1,4 +1,4 @@
-"""Wall-clock benchmarking of the host execution engines."""
+"""The deterministic bench gates behind ``repro bench`` (modelled clock only)."""
 
 from repro.bench.wallclock import (
     QUICK_OVERRIDES,

@@ -6,11 +6,10 @@ Commands:
 * ``profile`` — run one configuration and print the kernel breakdown,
   optionally dumping a chrome://tracing JSON;
 * ``compare`` — one-line end-to-end framework comparison for a shape;
-* ``bench`` — wall-clock benchmark of the host execution engines
+* ``bench`` — the deterministic bench gates on the modelled clock
   (``--quick`` for a CI smoke run, ``--out`` to write the JSON,
-  ``--check`` to gate on the output/stream-identity invariants,
-  ``--workers`` to fan the megabatch segments out over a thread pool);
-  prints the cache hit/miss/eviction table;
+  ``--check`` to gate on every equality and floor, ``--workers`` for
+  the fan-out width); prints the cache hit/miss/eviction table;
 * ``serve-chaos`` — chaos-replay a serving trace with injected kernel
   faults, deadlines, retry/backoff and graceful degradation
   (``--workers`` compute independent requests on a thread pool); prints the cache hit/miss/eviction table and the SLO
@@ -286,11 +285,10 @@ def _git_sha() -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Wall-clock benchmark: vectorized engine vs looped reference."""
+    """Deterministic bench gates on the modelled clock."""
     from repro.bench.wallclock import (
         QUICK_OVERRIDES,
         check_invariants,
-        check_warnings,
         format_summary,
         run_wallclock_bench,
         write_bench_json,
@@ -306,7 +304,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         layers=args.layers,
         preset=args.preset,
-        repeats=args.repeats,
         seed=args.seed,
         workers=args.workers,
         devices=args.devices,
@@ -361,10 +358,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             exit_code = 1
     if args.check:
         failures = check_invariants(result)
-        for warning in check_warnings(result):
-            # Amdahl-capped and wall-clock floor breaches (forward,
-            # attention, host_parallel): visible, but not fatal
-            print(f"invariant WARNING: {warning}", file=sys.stderr)
         if failures:
             for failure in failures:
                 print(f"invariant FAILED: {failure}", file=sys.stderr)
@@ -1319,7 +1312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="wall-clock benchmark: vectorized engine vs looped reference",
+        help="deterministic bench gates (modelled clock, bitwise legs)",
     )
     p.add_argument("--batch", type=int, default=16)
     p.add_argument("--max-seq-len", type=int, default=256)
@@ -1327,11 +1320,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--preset", choices=sorted(PRESETS), default="fused MHA")
-    p.add_argument("--repeats", type=int, default=3)
     p.add_argument(
         "--quick",
         action="store_true",
-        help="tiny-shape smoke run (overrides batch/seq/layers/repeats)",
+        help="tiny-shape smoke run (overrides batch/seq/layers/requests)",
     )
     p.add_argument(
         "--out",
@@ -1342,7 +1334,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="thread-pool fan-out width (1 = serial)",
+        help="thread-pool fan-out width (1 = serial; the host_parallel "
+        "section always fans out over at least 2)",
     )
     p.add_argument(
         "--check",

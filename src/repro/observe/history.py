@@ -1,21 +1,21 @@
-"""Append-only bench history and the noise-aware baseline gate.
+"""Append-only bench history and the baseline gate.
 
 ``BENCH_wallclock.json`` is a single overwritten snapshot; this module
 gives it a trajectory.  Every gated bench run appends a small record to
 ``benchmarks/history/`` — environment fingerprint, workload shape, the
 per-section metrics worth trending, the git sha — and
 :func:`baseline_gate` compares a fresh result against the median of the
-last *k* same-shape records with a MAD band around it, so one noisy CI
-host does not fail the build and a real regression does.
+last *k* same-shape records with a MAD band around it.
 
-Two metric tiers, mirroring how ``check_invariants`` treats floors:
-**hard** metrics are modelled µs — fully deterministic for a given seed
-and shape, so even a small move is a code change and fails the gate;
-**soft** metrics are host wall-clock — machine-dependent, so a move
-outside a much wider band only warns, just as ``check_invariants``
-leaves the ``amdahl_capped`` and ``wall_clock_floor`` sections
-(``forward``, ``attention``, ``host_parallel``) to ``check_warnings``
-on every host.
+Every trended metric is on the modelled clock (modelled µs, modelled
+speedups, graph hit rates): deterministic for a given seed and shape,
+so a move outside the band is a code change and fails the gate.  No
+host wall time is recorded or gated here; perfbench measures the host
+clock, keyed by its own host fingerprint.  Records written before the
+bench stopped timing the host still carry wall-clock metrics
+(``wall_us``, ``sections/forward/...``); the gate reads only the paths
+in :data:`TRENDED_METRICS`, so they load and gate on the modelled
+metrics alone.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ SHAPE_KEYS = (
 #: consistent with a 3-sigma normal band: MAD * 1.4826 estimates sigma
 _MAD_SIGMA = 3.0 * 1.4826
 #: minimum relative band, so a near-zero MAD (deterministic history)
-#: does not flag float-level jitter ...
-_HARD_REL_FLOOR = 0.005
-#: ... and wall-clock noise between CI hosts does not warn constantly
-_SOFT_REL_FLOOR = 0.25
+#: does not flag float-level jitter
+_REL_FLOOR = 0.005
 
 
 @dataclass(frozen=True)
@@ -61,53 +59,22 @@ class MetricSpec:
     path: str
     #: "lower" or "higher" — which direction is *better*
     better: str
-    #: hard metrics fail the gate; soft metrics only warn
-    hard: bool
 
 
-#: modelled (deterministic) metrics — regressions fail
-_HARD_METRICS = (
-    MetricSpec("modelled_us", "lower", True),
-    MetricSpec("sections/graph_replay/modelled_us", "lower", True),
+#: modelled (deterministic) metrics — a regression fails the gate
+TRENDED_METRICS: tuple[MetricSpec, ...] = (
+    MetricSpec("modelled_us", "lower"),
+    MetricSpec("sections/graph_replay/modelled_us", "lower"),
+    MetricSpec("sections/continuous_serving/speedup_vs_reference", "higher"),
+    MetricSpec("sections/continuous_serving/continuous/us_per_token", "lower"),
     MetricSpec(
-        "sections/continuous_serving/speedup_vs_reference", "higher", True
+        "sections/continuous_serving/continuous/steady_hit_rate", "higher"
     ),
-    MetricSpec(
-        "sections/continuous_serving/continuous/us_per_token", "lower", True
-    ),
-    MetricSpec(
-        "sections/continuous_serving/continuous/steady_hit_rate",
-        "higher",
-        True,
-    ),
-    MetricSpec(
-        "sections/sharded_serving/speedup_vs_reference", "higher", True
-    ),
-    MetricSpec(
-        "sections/sharded_serving/scaling/base_makespan_us", "lower", True
-    ),
-    MetricSpec(
-        "sections/decode_serving/speedup_vs_reference", "higher", True
-    ),
-    MetricSpec(
-        "sections/decode_serving/mixed/us_per_token", "lower", True
-    ),
+    MetricSpec("sections/sharded_serving/speedup_vs_reference", "higher"),
+    MetricSpec("sections/sharded_serving/scaling/base_makespan_us", "lower"),
+    MetricSpec("sections/decode_serving/speedup_vs_reference", "higher"),
+    MetricSpec("sections/decode_serving/mixed/us_per_token", "lower"),
 )
-
-#: host wall-clock metrics — machine-dependent, so regressions only warn
-_SOFT_METRICS = (
-    MetricSpec("wall_us", "lower", False),
-    MetricSpec("speedup_vs_reference", "higher", False),
-    MetricSpec("sections/forward/speedup_vs_reference", "higher", False),
-    MetricSpec("sections/attention/speedup_vs_reference", "higher", False),
-    MetricSpec("sections/packing/speedup_vs_reference", "higher", False),
-    MetricSpec("sections/graph_replay/speedup_vs_eager", "higher", False),
-    MetricSpec(
-        "sections/host_parallel/speedup_vs_reference", "higher", False
-    ),
-)
-
-TRENDED_METRICS: tuple[MetricSpec, ...] = _HARD_METRICS + _SOFT_METRICS
 
 
 def _lookup(result: dict, path: str):
@@ -129,10 +96,10 @@ def record_from_result(
 
     Metrics a result does not carry (e.g. ``decode_serving`` before the
     decode bench ran in CI) are simply absent from the record; the gate
-    skips them.  ``env.cores`` names the host core count a wall-clock
-    metric was measured on (``None`` for a result that did not record
-    it); the gate matches on shape, never on env, so records from before
-    the field existed still gate.
+    skips them.  ``env.cores`` names the host core count of the run
+    (``None`` for a result that did not record it); the gate matches on
+    shape, never on env, so records from before the field existed still
+    gate.
     """
     config = result.get("config", {})
     metrics = {}
@@ -194,12 +161,11 @@ class MetricVerdict:
     """One metric's comparison against the same-shape history band."""
 
     path: str
-    hard: bool
     current: float
     baseline_median: float
     band: float
     samples: int
-    #: "ok", "warn" (soft regression) or "fail" (hard regression)
+    #: "ok", or "fail" for a regression outside the band
     status: str
 
     @property
@@ -222,10 +188,6 @@ class GateReport:
         return tuple(v for v in self.verdicts if v.status == "fail")
 
     @property
-    def warnings(self) -> tuple[MetricVerdict, ...]:
-        return tuple(v for v in self.verdicts if v.status == "warn")
-
-    @property
     def passed(self) -> bool:
         return not self.failures
 
@@ -238,19 +200,16 @@ class GateReport:
         if self.note:
             lines.append(f"  {self.note}")
         for v in self.verdicts:
-            if v.status == "ok" and not v.hard:
-                continue
-            marker = {"ok": "ok  ", "warn": "WARN", "fail": "FAIL"}[v.status]
+            marker = {"ok": "ok  ", "fail": "FAIL"}[v.status]
             lines.append(
                 f"  {marker} {v.path}: {v.current:.4g} vs median "
                 f"{v.baseline_median:.4g} +- {v.band:.4g} "
-                f"({v.samples} samples{', soft' if not v.hard else ''})"
+                f"({v.samples} samples)"
             )
         lines.append(
             f"baseline gate: "
             f"{'PASS' if self.passed else 'FAIL'} "
-            f"({len(self.failures)} hard regressions, "
-            f"{len(self.warnings)} soft warnings)"
+            f"({len(self.failures)} regressions)"
         )
         return "\n".join(lines)
 
@@ -273,8 +232,9 @@ def baseline_gate(
     acceptance band is ``max(3 * 1.4826 * MAD, rel_floor * |median|)``
     (noise-aware but floored, so a perfectly deterministic history does
     not flag float jitter), and only moves in the metric's *worse*
-    direction regress.  Hard (modelled) metrics fail; soft (wall-clock)
-    metrics warn.  With no same-shape history the gate passes vacuously.
+    direction regress; any regression fails.  Metrics outside
+    :data:`TRENDED_METRICS` (a legacy record's wall-clock values) are
+    ignored.  With no same-shape history the gate passes vacuously.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -304,22 +264,19 @@ def baseline_gate(
             continue
         m = median(values)
         mad = median(abs(v - m) for v in values)
-        rel_floor = _HARD_REL_FLOOR if spec.hard else _SOFT_REL_FLOOR
-        band = max(_MAD_SIGMA * mad, rel_floor * abs(m))
+        band = max(_MAD_SIGMA * mad, _REL_FLOOR * abs(m))
         if spec.better == "lower":
             regressed = current > m + band
         else:
             regressed = current < m - band
-        status = "ok" if not regressed else ("fail" if spec.hard else "warn")
         verdicts.append(
             MetricVerdict(
                 path=spec.path,
-                hard=spec.hard,
                 current=float(current),
                 baseline_median=float(m),
                 band=float(band),
                 samples=len(values),
-                status=status,
+                status="fail" if regressed else "ok",
             )
         )
     return GateReport(

@@ -13,7 +13,7 @@ from repro.observe.history import (
 )
 
 
-def fake_result(modelled_us=1000.0, wall_us=50_000.0, speedup=1.5, **over):
+def fake_result(modelled_us=1000.0, **over):
     config = {
         "batch": 4,
         "max_seq_len": 64,
@@ -31,8 +31,6 @@ def fake_result(modelled_us=1000.0, wall_us=50_000.0, speedup=1.5, **over):
     result = {
         "config": config,
         "modelled_us": modelled_us,
-        "wall_us": wall_us,
-        "speedup_vs_reference": speedup,
         "sections": {
             "continuous_serving": {
                 "speedup_vs_reference": 1.4,
@@ -103,7 +101,7 @@ class TestGate:
     def test_same_seed_rerun_passes_clean(self):
         gate = baseline_gate(record(), self.history())
         assert gate.passed
-        assert not gate.warnings
+        assert not gate.failures
         assert gate.baseline_count == 3
 
     def test_records_without_core_count_still_gate(self, tmp_path):
@@ -144,14 +142,38 @@ class TestGate:
         gate = baseline_gate(record(modelled_us=900.0), self.history())
         assert gate.passed
 
-    def test_soft_regression_only_warns(self):
-        gate = baseline_gate(
-            record(wall_us=500_000.0, speedup=0.5), self.history()
-        )
+    def test_legacy_wall_clock_records_gate_on_modelled_metrics_only(
+        self, tmp_path
+    ):
+        # records from before the bench stopped timing the host carry
+        # wall-clock metrics; they still load and match the shape, and
+        # the gate reads only the modelled metrics they hold
+        legacy_wall = {
+            "wall_us": 50_000.0,
+            "speedup_vs_reference": 1.5,
+            "sections/forward/speedup_vs_reference": 1.0,
+            "sections/attention/speedup_vs_reference": 1.2,
+            "sections/packing/speedup_vs_reference": 4.0,
+            "sections/graph_replay/speedup_vs_eager": 16.0,
+            "sections/host_parallel/speedup_vs_reference": 1.1,
+        }
+        for _ in range(3):
+            old = record()
+            old["metrics"].update(legacy_wall)
+            append_record(tmp_path, old)
+        history = load_history(tmp_path)
+        fresh = record()
+        assert not set(legacy_wall) & set(fresh["metrics"])
+        gate = baseline_gate(fresh, history)
         assert gate.passed
-        warned = {v.path for v in gate.warnings}
-        assert "wall_us" in warned
-        assert "speedup_vs_reference" in warned
+        assert gate.baseline_count == 3
+        assert {v.path for v in gate.verdicts} == set(fresh["metrics"])
+        # a wall-clock value in a legacy result is not recorded either
+        assert not set(legacy_wall) & set(
+            record_from_result(fake_result(wall_us=1.0))["metrics"]
+        )
+        regressed = baseline_gate(record(modelled_us=1100.0), history)
+        assert [v.path for v in regressed.failures] == ["modelled_us"]
 
     def test_mad_band_absorbs_history_noise(self):
         # noisy-but-stationary history widens the band: a value inside
@@ -191,8 +213,8 @@ class TestSeededHistory:
         history = load_history(root / "benchmarks" / "history")
         assert history, "benchmarks/history/ should be seeded"
         snapshot = json.loads((root / "BENCH_wallclock.json").read_text())
+        assert "wall_us" not in snapshot
         fresh = record_from_result(snapshot)
         gate = baseline_gate(fresh, history)
         assert gate.baseline_count >= 1
         assert gate.passed
-        assert not gate.warnings

@@ -1,4 +1,4 @@
-"""Schema and sanity of the wall-clock benchmark harness (quick shape)."""
+"""Schema, sanity and gates of the deterministic bench harness (quick shape)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.bench.wallclock import (
     QUICK_OVERRIDES,
     check_invariants,
-    check_warnings,
     format_summary,
     run_wallclock_bench,
     write_bench_json,
@@ -22,17 +21,19 @@ def result():
 
 
 def test_required_schema_keys(result):
-    for key in (
-        "config",
-        "wall_us",
-        "modelled_us",
-        "reference_wall_us",
-        "speedup_vs_reference",
-        "sections",
-        "invariants",
-        "notes",
-    ):
+    for key in ("config", "modelled_us", "sections", "invariants", "notes"):
         assert key in result, key
+    # the bench reads no host clock: no value anywhere is a wall time
+    def keys(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from keys(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from keys(value)
+
+    assert not [k for k in keys(result) if "wall" in k]
 
 
 def test_config_section(result):
@@ -43,7 +44,6 @@ def test_config_section(result):
         "alpha",
         "layers",
         "preset",
-        "repeats",
         "seed",
         "hidden_size",
         "num_heads",
@@ -54,22 +54,17 @@ def test_config_section(result):
     assert config["max_seq_len"] == QUICK_OVERRIDES["max_seq_len"]
     assert config["layers"] == QUICK_OVERRIDES["layers"]
     assert config["cores"] >= 1
+    assert "repeats" not in config
 
 
 def test_timings_positive(result):
-    assert result["wall_us"] > 0
+    # every timing the bench reports is on the modelled clock
+    sections = result["sections"]
     assert result["modelled_us"] > 0
-    assert result["reference_wall_us"] > 0
-    assert result["speedup_vs_reference"] > 0
-    packing = result["sections"]["packing"]
-    for key in (
-        "reference_loop_us",
-        "vectorized_build_us",
-        "cache_hit_us",
-        "speedup_vs_reference",
-        "speedup_cache_hit",
-    ):
-        assert packing[key] > 0, key
+    assert sections["graph_replay"]["modelled_us"] > 0
+    assert sections["continuous_serving"]["continuous"]["us_per_token"] > 0
+    assert sections["decode_serving"]["mixed"]["us_per_token"] > 0
+    assert sections["sharded_serving"]["scaling"]["base_makespan_us"] > 0
 
 
 def test_invariants_hold(result):
@@ -81,21 +76,10 @@ def test_invariants_hold(result):
     assert inv["modelled_us_looped"] == inv["modelled_us_vectorized"]
 
 
-def test_attention_section_present_for_fused_preset(result):
-    attention = result["sections"]["attention"]
-    assert attention["wall_us"] > 0
-    assert attention["reference_wall_us"] > 0
-
-
 def test_graph_replay_section(result):
     graph = result["sections"]["graph_replay"]
-    assert graph["eager_us"] > 0
-    assert graph["capture_us"] > 0
-    assert graph["replay_us"] > 0
-    assert graph["speedup_vs_eager"] > 1.0  # replay must beat eager pricing
-    steady = graph["steady_state_forward"]
-    assert steady["wall_us"] > 0
-    assert steady["outputs_bitwise_equal"] is True
+    # the estimator prices the same launches the numeric forward records
+    assert graph["modelled_us"] == pytest.approx(result["modelled_us"])
     inv = result["invariants"]
     assert inv["graph_modelled_us_equal"] is True
     assert inv["graph_streams_identical"] is True
@@ -135,12 +119,13 @@ def test_json_round_trip(result, tmp_path):
     path = write_bench_json(result, tmp_path / "bench.json")
     loaded = json.loads(path.read_text())
     assert loaded["config"]["preset"] == result["config"]["preset"]
-    assert loaded["wall_us"] == pytest.approx(result["wall_us"])
+    assert loaded["modelled_us"] == result["modelled_us"]
 
 
 def test_summary_renders(result):
     text = format_summary(result)
-    assert "wall-clock bench" in text
+    assert text.startswith("bench:")
+    assert "modelled clock" in text
     assert "invariants" in text
 
 
@@ -175,31 +160,32 @@ def test_continuous_serving_section(result):
 
 
 def test_floor_fields_present(result):
-    assert result["sections"]["forward"]["floor"] == 1.0
-    assert result["sections"]["forward"]["amdahl_capped"] is True
-    assert result["sections"]["attention"]["floor"] == 1.0
-    assert result["sections"]["attention"]["wall_clock_floor"] is True
-    assert result["sections"]["host_parallel"]["wall_clock_floor"] is True
+    sections = result["sections"]
+    assert sections["continuous_serving"]["floor"] == 1.0
+    assert sections["decode_serving"]["floor"] == 1.5
+    assert sections["sharded_serving"]["floor"] == 6.5
+    for section in sections.values():
+        assert "amdahl_capped" not in section
+        assert "wall_clock_floor" not in section
 
 
 def test_floor_breach_fails_only_on_modelled_clock_sections(result):
-    # continuous_serving's speedup is a modelled-clock metric
-    # (deterministic), so its floor is a hard --check gate
+    # every floored section is a modelled-clock (deterministic) ratio,
+    # so each floor is a hard --check gate
+    floored = {
+        name
+        for name, section in result["sections"].items()
+        if "floor" in section
+    }
+    assert floored == {
+        "sharded_serving",
+        "continuous_serving",
+        "decode_serving",
+    }
     broken = json.loads(json.dumps(result))  # deep copy
     broken["sections"]["continuous_serving"]["speedup_vs_reference"] = 0.5
     failures = check_invariants(broken)
     assert any("continuous_serving" in f and "floor" in f for f in failures)
-    # forward is Amdahl-capped and attention is a noisy wall-clock
-    # measurement: their breaches warn but never fail
-    warned = json.loads(json.dumps(result))
-    warned["sections"]["forward"]["speedup_vs_reference"] = 0.5
-    warned["sections"]["attention"]["speedup_vs_reference"] = 0.5
-    assert not any(
-        "forward" in f or "attention" in f for f in check_invariants(warned)
-    )
-    warnings = check_warnings(warned)
-    assert any("forward" in w and "Amdahl" in w for w in warnings)
-    assert any("attention" in w and "wall-clock" in w for w in warnings)
 
 
 def test_hit_rate_breach_fails(result):
@@ -217,27 +203,17 @@ def test_summary_mentions_serving(result):
 
 def test_host_parallel_section(result):
     hp = result["sections"]["host_parallel"]
-    for key in (
-        "cores",
-        "executor",
-        "workers",
-        "tile",
-        "segments",
-        "total_tokens",
-        "wall_us",
-        "reference_wall_us",
-        "speedup_vs_reference",
-        "floor",
-        "amdahl_capped",
-    ):
+    for key in ("executor", "workers", "tile", "segments", "total_tokens"):
         assert key in hp, key
-    assert hp["floor"] == 1.15
-    # the deterministic gates hold regardless of host speed
+    # a real fan-out at any --workers, so the equality gates compare
+    # two different schedules
+    assert hp["executor"] == "thread"
+    assert hp["workers"] >= 2
+    assert "floor" not in hp
     assert hp["outputs_bitwise_equal"] is True
     assert hp["launch_streams_identical"] is True
     assert hp["modelled_us_equal"] is True
     fg = hp["fast_gelu"]
-    assert fg["wall_us"] > 0
     assert fg["atol"] > 0
     assert 0 < fg["max_abs_diff"] <= fg["atol"]
     assert fg["within_atol"] is True
@@ -254,30 +230,6 @@ def test_host_parallel_deterministic_gates_always_fail_hard(result):
     assert any("executor output != serial output" in f for f in failures)
     assert any("executor changed modelled_us" in f for f in failures)
     assert any("fast-gelu" in f and "atol" in f for f in failures)
-
-
-def test_host_parallel_floor_warns_when_amdahl_capped(result):
-    capped = json.loads(json.dumps(result))
-    hp = capped["sections"]["host_parallel"]
-    hp["speedup_vs_reference"] = 0.5
-    hp["amdahl_capped"] = True
-    assert not any(
-        "host_parallel" in f for f in check_invariants(capped)
-    )
-    assert any(
-        "host_parallel" in w for w in check_warnings(capped)
-    )
-    # on a real multi-core fan-out the speedup is still a host
-    # wall-clock ratio: the same breach is reported, but never fails
-    uncapped = json.loads(json.dumps(capped))
-    uncapped["sections"]["host_parallel"]["amdahl_capped"] = False
-    assert not any(
-        "host_parallel" in f for f in check_invariants(uncapped)
-    )
-    assert any(
-        "host_parallel" in w and "wall-clock" in w
-        for w in check_warnings(uncapped)
-    )
 
 
 def test_arena_overflow_gate(result):
@@ -330,3 +282,222 @@ def test_sharded_floor_breach_fails_check(result):
     assert any(
         "collective" in f for f in check_invariants(missed)
     )
+
+
+def _leg_gates(section, legs):
+    """Both per-leg gates (nothing served, bits differ) of each leg."""
+    return [
+        gate
+        for leg in legs
+        for gate in (
+            (
+                f"{section}-{leg}-served",
+                ("sections", f"{section}_serving", "bitwise", leg, "served"),
+                0,
+                f"{section} bitwise leg {leg}: nothing served",
+            ),
+            (
+                f"{section}-{leg}-bitwise",
+                (
+                    "sections",
+                    f"{section}_serving",
+                    "bitwise",
+                    leg,
+                    "outputs_bitwise_equal",
+                ),
+                False,
+                f"{section} bitwise leg {leg}: served",
+            ),
+        )
+    ]
+
+
+#: every deterministic --check gate: (id, field path, planted value,
+#: text the failure must contain)
+GATES = [
+    (
+        "outputs_match",
+        ("invariants", "outputs_match_atol_1e-6"),
+        False,
+        "engine outputs diverge",
+    ),
+    (
+        "launch_streams_identical",
+        ("invariants", "launch_streams_identical"),
+        False,
+        "looped vs vectorized launch streams differ",
+    ),
+    (
+        "graph_modelled_us_equal",
+        ("invariants", "graph_modelled_us_equal"),
+        False,
+        "graph replay changed modelled_us",
+    ),
+    (
+        "graph_streams_identical",
+        ("invariants", "graph_streams_identical"),
+        False,
+        "graph replay stream != eager stream",
+    ),
+    (
+        "steady_outputs_bitwise_equal",
+        ("invariants", "steady_outputs_bitwise_equal"),
+        False,
+        "arena+graph forward output != vectorized output",
+    ),
+    (
+        "steady_modelled_us_equal",
+        ("invariants", "steady_modelled_us_equal"),
+        False,
+        "arena+graph forward changed modelled_us",
+    ),
+    (
+        "large_allocation_count",
+        ("sections", "steady_state_alloc", "large_allocation_count"),
+        3,
+        "steady state performed 3 large allocations",
+    ),
+    (
+        "peak_delta_bytes",
+        ("sections", "steady_state_alloc", "peak_delta_bytes"),
+        1 << 40,
+        "steady-state traced peak grew",
+    ),
+    (
+        "arena_overflow_allocs",
+        ("sections", "steady_state_alloc", "arena_overflow_allocs"),
+        3,
+        "arena performed 3 overflow allocations",
+    ),
+    (
+        "host_parallel-outputs_bitwise_equal",
+        ("sections", "host_parallel", "outputs_bitwise_equal"),
+        False,
+        "thread executor output != serial output",
+    ),
+    (
+        "host_parallel-launch_streams_identical",
+        ("sections", "host_parallel", "launch_streams_identical"),
+        False,
+        "thread executor changed the launch stream",
+    ),
+    (
+        "host_parallel-modelled_us_equal",
+        ("sections", "host_parallel", "modelled_us_equal"),
+        False,
+        "thread executor changed modelled_us",
+    ),
+    (
+        "fast_gelu-within_atol",
+        ("sections", "host_parallel", "fast_gelu", "within_atol"),
+        False,
+        "fast-gelu max |diff|",
+    ),
+    (
+        "fast_gelu-launch_streams_identical",
+        (
+            "sections",
+            "host_parallel",
+            "fast_gelu",
+            "launch_streams_identical",
+        ),
+        False,
+        "fast-gelu changed the launch stream",
+    ),
+    (
+        "sharded-floor",
+        ("sections", "sharded_serving", "speedup_vs_reference"),
+        1.0,
+        "section sharded_serving: speedup_vs_reference",
+    ),
+    (
+        "sharded-point-floor",
+        (
+            "sections",
+            "sharded_serving",
+            "scaling",
+            "points",
+            -1,
+            "speedup_vs_single_device",
+        ),
+        1.0,
+        "sharded serving at 8 devices: modelled speedup",
+    ),
+    *_leg_gates(
+        "sharded", ("dp_clean", "dp_compute_chaos", "tp_collective_chaos")
+    ),
+    (
+        "sharded-collective_faults",
+        (
+            "sections",
+            "sharded_serving",
+            "bitwise",
+            "tp_collective_chaos",
+            "collective_faults_injected",
+        ),
+        0,
+        "collective-targeted chaos injected no faults",
+    ),
+    (
+        "continuous-floor",
+        ("sections", "continuous_serving", "speedup_vs_reference"),
+        0.5,
+        "section continuous_serving: speedup_vs_reference",
+    ),
+    (
+        "continuous-hit_rate",
+        ("sections", "continuous_serving", "continuous", "steady_hit_rate"),
+        0.1,
+        "continuous serving steady-state graph hit rate",
+    ),
+    (
+        "decode-floor",
+        ("sections", "decode_serving", "speedup_vs_reference"),
+        1.0,
+        "section decode_serving: speedup_vs_reference",
+    ),
+    (
+        "decode-hit_rate",
+        ("sections", "decode_serving", "mixed", "steady_hit_rate"),
+        0.1,
+        "decode serving steady-state graph hit rate",
+    ),
+    (
+        "decode-kv_overflow",
+        ("sections", "decode_serving", "mixed", "kv", "overflow_allocs"),
+        2,
+        "paged KV arena performed 2 overflow allocations",
+    ),
+    *_leg_gates("decode", ("clean", "chaos_evict")),
+    (
+        "decode-evictions",
+        (
+            "sections",
+            "decode_serving",
+            "bitwise",
+            "chaos_evict",
+            "evictions",
+        ),
+        0,
+        "decode chaos leg evicted nothing",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,expected",
+    [gate[1:] for gate in GATES],
+    ids=[gate[0] for gate in GATES],
+)
+def test_planted_breakage_fails_check(result, path, value, expected):
+    """Flip one gate's field in a copy of a clean result: ``--check``
+    must fail with a message naming that gate."""
+    assert check_invariants(result) == []
+    broken = json.loads(json.dumps(result))  # deep copy
+    node = broken
+    for key in path[:-1]:
+        node = node[key]
+    assert node[path[-1]] != value, "the clean run already reads broken"
+    node[path[-1]] = value
+    failures = check_invariants(broken)
+    assert any(expected in f for f in failures), failures

@@ -21,11 +21,10 @@ all appending to the same file; a wrapped line continues the one
 above)::
 
     -m repro selftest
-    -m repro bench --quick --check --out b.json --trace-out t.json
-        --metrics-out m.jsonl
-    -m repro bench --quick --check --workers 2 --out w.json
+    -m repro bench --quick --check --workers 2 --out b.json
+        --trace-out t.json --metrics-out m.jsonl
+        --baseline <copy of benchmarks/history>
     -m repro bench --quick --check --devices 4 --out s.json
-    -m repro bench --quick --baseline <copy of benchmarks/history>
     -m repro serve-chaos --batcher continuous --quick
     -m repro serve-chaos --quick --batcher continuous --devices 4 --shard dp
     -m repro generate --quick --check --fault-rate 0.2
