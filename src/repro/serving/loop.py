@@ -145,6 +145,14 @@ class ServingLoop:
             while (unit := planner.next_unit()) is not None:
                 self._serve(unit, planner)
 
+            # a device is busy only inside [0, free): more busy time than
+            # that means two of its attempts overlapped
+            for dev, (busy, free) in enumerate(zip(self.busy, self.free)):
+                if busy > free:
+                    raise RuntimeError(
+                        f"device {dev} was busy {busy} us but free at "
+                        f"{free} us: its attempts overlapped"
+                    )
             busy_us = sum(self.busy)
             makespan_us = max(self.free)
             if tel is not None:
@@ -320,6 +328,9 @@ class ServingLoop:
                 partial = ctx.elapsed_us()
                 self.busy[dev] += partial
                 now = start + partial
+                # the device ran the attempt until ``now`` whatever the
+                # unit does next: retry, shed to empty, or fail
+                self.free[dev] = now
                 if tel is not None:
                     tel.tracer.set_now(now)
                     tel.tracer.end(fault=True)  # the attempt span
@@ -334,7 +345,6 @@ class ServingLoop:
                     )
                 ladder.record_fault(now)
                 if attempt >= retry.max_retries:
-                    self.free[dev] = now
                     planner.fail(unit, now, attempt)
                     break
                 backoff = retry.backoff_us(attempt, self.jitter_rng)

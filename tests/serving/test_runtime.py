@@ -179,6 +179,42 @@ class TestRetryBudget:
         assert any(o.retries > 0 for o in report.served)
 
 
+class TestDeviceTime:
+    #: most fused-attention launches fault, so dispatches often empty
+    #: (every member past its deadline) during a retry backoff
+    HEAVY = FaultSpec(
+        launch_failure_rate=0.3,
+        transient_oom_rate=0.2,
+        target_prefixes=("fused_mha", "fmha_"),
+    )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_attempts_on_one_device_never_overlap(self, seed):
+        # a faulted attempt holds the device until it ends, even when
+        # the backoff shed empties its dispatch and no retry follows
+        tel = Telemetry()
+        ServingRuntime(
+            CONFIG,
+            batcher=TimeoutBatcher(batch_size=8, timeout_us=100.0),
+            faults=self.HEAVY,
+            seed=seed,
+            telemetry=tel,
+        ).run(
+            make_trace(
+                64, 128, mean_interarrival_us=30.0, seed=seed,
+                deadline_us=600.0,
+            )
+        )
+        spans = sorted(
+            (s.start_us, s.end_us)
+            for s in tel.tracer.completed()
+            if s.name == "attempt"
+        )
+        assert len(spans) > 8
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert start >= end
+
+
 class TestReport:
     def test_latency_summary_groups(self):
         report = runtime(CHAOS).run(trace(80))
