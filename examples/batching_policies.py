@@ -4,22 +4,23 @@ Serving-side batching interacts with the padding story: FIFO batches mix
 lengths (maximal padding for padded engines), length-bucketed batching
 makes batches homogeneous at the cost of queueing delay, and a packed
 engine like ByteTransformer is largely indifferent — it only ever pays
-for valid tokens.  This example replays one dense request trace under
-three policies against a padded engine (PyTorch JIT) and the packed
-engine, reporting latency percentiles and GPU busy time.
+for valid tokens.  This example serves one dense request trace through
+:class:`~repro.serving.ServingRuntime` under three policies, once with a
+padded engine (the ``baseline`` preset with cuBLAS batched-GEMM MHA) and
+once with the packed one (the ``fused MHA`` preset), reporting latency
+percentiles and GPU busy time.
 
 Run:  python examples/batching_policies.py
 """
 
 from __future__ import annotations
 
-from repro.core.config import BertConfig
-from repro.frameworks import ByteTransformer, PyTorchJIT
+from repro.core.config import BASELINE, FUSED_MHA, BertConfig
+from repro.serving import DegradationLadder, DegradationLevel, ServingRuntime
 from repro.workloads.batching import (
     BucketBatcher,
     FifoBatcher,
     TimeoutBatcher,
-    replay,
 )
 from repro.workloads.serving import make_trace
 
@@ -34,24 +35,34 @@ def main() -> None:
         TimeoutBatcher(batch_size=8, timeout_us=2000.0),
         BucketBatcher(batch_size=8, bucket_width=64, timeout_us=4000.0),
     ]
-    engines = [PyTorchJIT(), ByteTransformer()]
+    # the padded engine pads MHA too: its one rung is the padded
+    # batched-GEMM attention path
+    padded_ladder = DegradationLadder((DegradationLevel("padded", "cublas"),))
+    engines = [
+        ("padded", BASELINE, padded_ladder),
+        ("packed", FUSED_MHA, None),
+    ]
 
     print(
         f"trace: {trace.num_requests} requests, max seq {trace.max_seq_len}, "
         f"mean interarrival 250 us\n"
     )
     print(
-        f"{'engine':<18}{'policy':<10}{'mean_ms':>9}{'p99_ms':>9}"
+        f"{'engine':<10}{'policy':<10}{'mean_ms':>9}{'p99_ms':>9}"
         f"{'gpu_busy_ms':>13}{'batches':>9}"
     )
-    for engine in engines:
+    for engine, opt, ladder in engines:
         for policy in policies:
-            result = replay(trace, policy, engine, config)
+            runtime = ServingRuntime(
+                config, batcher=policy, opt=opt, ladder=ladder
+            )
+            report = runtime.run(trace)
+            latency = report.latency_summary()["all"]
             batches = len(policy.plan(trace))
             print(
-                f"{engine.name:<18}{result.policy:<10}"
-                f"{result.mean_ms:>9.2f}{result.p99_ms:>9.2f}"
-                f"{result.gpu_busy_us / 1000:>13.1f}{batches:>9}"
+                f"{engine:<10}{policy.name:<10}"
+                f"{latency['mean_ms']:>9.2f}{latency['p99_ms']:>9.2f}"
+                f"{report.gpu_busy_us / 1000:>13.1f}{batches:>9}"
             )
         print()
     print(

@@ -23,20 +23,18 @@ a :class:`~repro.workloads.serving.ServingTrace`:
   to a small set of tiles (:data:`DEFAULT_TILES`) so the launch-graph
   cache key recurs under live traffic.
 
-:func:`replay` runs a policy against a framework cost model on a single
-simulated GPU and returns per-request latencies.
+:class:`~repro.serving.ServingRuntime` runs a policy's dispatches on the
+simulated devices.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.config import BertConfig
-from repro.frameworks.base import Framework
 from repro.telemetry import COUNT_BUCKETS, RATIO_BUCKETS, current_telemetry
 from repro.telemetry.slo import BATCH_FILL_RATIO, QUEUE_DEPTH
 from repro.workloads.serving import Request, ServingTrace
@@ -601,29 +599,6 @@ class MixedContinuousBatcher:
         return round_
 
 
-@dataclass(frozen=True)
-class ReplayResult:
-    """Per-request latencies of one (policy, framework) replay."""
-
-    policy: str
-    framework: str
-    latencies_us: np.ndarray
-    gpu_busy_us: float
-    makespan_us: float
-
-    @property
-    def mean_ms(self) -> float:
-        return float(self.latencies_us.mean()) / 1000.0
-
-    @property
-    def p99_ms(self) -> float:
-        return float(np.percentile(self.latencies_us, 99)) / 1000.0
-
-    @property
-    def utilisation(self) -> float:
-        return self.gpu_busy_us / self.makespan_us if self.makespan_us else 0.0
-
-
 def shed_expired(
     requests: Sequence[Request], now_us: float
 ) -> tuple[list[Request], list[Request]]:
@@ -657,41 +632,3 @@ def dispatch_padded_len(dispatch: Dispatch, cap: int) -> int:
     longest = int(dispatch.seq_lens.max())
     rounded = -(-longest // SHAPE_GRANULARITY) * SHAPE_GRANULARITY
     return min(cap, rounded)
-
-
-def replay(
-    trace: ServingTrace,
-    batcher: Batcher,
-    framework: Framework,
-    config: BertConfig,
-) -> ReplayResult:
-    """Run a batching policy against a framework on one simulated GPU.
-
-    Batches execute serially in readiness order.  Each batch is padded to
-    its own rounded maximum (see :func:`dispatch_padded_len`) — so a
-    length-homogeneous policy directly shrinks the padded engines' work,
-    while packed engines only ever pay for valid tokens.
-    """
-    plan = sorted(batcher.plan(trace), key=lambda d: d.ready_us)
-    latencies = np.empty(trace.num_requests)
-    gpu_free_at = 0.0
-    busy = 0.0
-    for dispatch in plan:
-        start = max(dispatch.ready_us, gpu_free_at)
-        service = framework.latency_us(
-            config,
-            dispatch.seq_lens,
-            dispatch_padded_len(dispatch, trace.max_seq_len),
-        )
-        finish = start + service
-        gpu_free_at = finish
-        busy += service
-        for request in dispatch.requests:
-            latencies[request.request_id] = finish - request.arrival_us
-    return ReplayResult(
-        policy=batcher.name,
-        framework=framework.name,
-        latencies_us=latencies,
-        gpu_busy_us=busy,
-        makespan_us=gpu_free_at,
-    )

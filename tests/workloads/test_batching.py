@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import BertConfig
-from repro.frameworks import ByteTransformer, PyTorchJIT
 from repro.workloads.batching import (
     DEFAULT_TILES,
     BucketBatcher,
@@ -16,12 +14,9 @@ from repro.workloads.batching import (
     TimeoutBatcher,
     TokenBudgetExceededError,
     quantize_tile,
-    replay,
     shed_expired,
 )
 from repro.workloads.serving import Request, ServingTrace, make_trace
-
-CFG = BertConfig(num_layers=2)
 
 
 @pytest.fixture(scope="module")
@@ -118,38 +113,6 @@ class TestBucket:
 
 
 class TestReplay:
-    def test_latencies_positive_and_complete(self, trace):
-        result = replay(trace, FifoBatcher(8), ByteTransformer(), CFG)
-        assert result.latencies_us.shape == (trace.num_requests,)
-        assert (result.latencies_us > 0).all()
-        assert 0 < result.utilisation <= 1.0
-
-    def test_packed_engine_faster_than_padded(self, trace):
-        fifo = FifoBatcher(8)
-        bt = replay(trace, fifo, ByteTransformer(), CFG)
-        pt = replay(trace, fifo, PyTorchJIT(), CFG)
-        assert bt.mean_ms < pt.mean_ms
-
-    def test_bucketing_helps_padded_engines_most(self):
-        """Length-homogeneous batches shrink padded work; a packed engine
-        cares much less.  Compare each engine's bucket-vs-fifo gain on
-        GPU busy time (queueing differences cancel out there).  Needs a
-        dense trace so buckets actually fill."""
-        dense = make_trace(200, 256, mean_interarrival_us=50.0, seed=0)
-        fifo = FifoBatcher(8)
-        bucket = BucketBatcher(
-            batch_size=8, bucket_width=64, timeout_us=4000
-        )
-        pt_gain = (
-            replay(dense, fifo, PyTorchJIT(), CFG).gpu_busy_us
-            / replay(dense, bucket, PyTorchJIT(), CFG).gpu_busy_us
-        )
-        bt_gain = (
-            replay(dense, fifo, ByteTransformer(), CFG).gpu_busy_us
-            / replay(dense, bucket, ByteTransformer(), CFG).gpu_busy_us
-        )
-        assert pt_gain > bt_gain
-
     def test_dispatch_validation(self):
         with pytest.raises(ValueError, match="at least one"):
             Dispatch(requests=(), ready_us=0.0)
