@@ -22,6 +22,7 @@ time only — never an estimate, a graph key's stream, or a priced µs.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from repro.core.sharding import ShardSpec
 from repro.gpusim.errors import LaunchConfigError
 from repro.gpusim.graph import GraphCache
 from repro.gpusim.interconnect import all_reduce_launch
+from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.stream import ExecutionContext, NullContext
 from repro.kernels.activation import add_bias_gelu_launch
 from repro.kernels.batched_gemm import batched_gemm_launch
@@ -64,6 +66,11 @@ from repro.kernels.transpose import (
     split_heads_launch,
 )
 
+#: an MHA launch chain the estimator does not own: called as
+#: ``chain(ctx, seq_lens, max_seq_len, config)`` in place of the
+#: attention step (the Fig 14 framework models' own chains)
+MhaChain = Callable[[ExecutionContext, np.ndarray, int, BertConfig], None]
+
 
 def estimate_standard_mha(
     ctx: ExecutionContext,
@@ -78,6 +85,38 @@ def estimate_standard_mha(
         ctx.launch(launch)
 
 
+def estimate_padded_attention(
+    ctx: ExecutionContext,
+    batch: int,
+    seq_len: int,
+    config: BertConfig,
+    prefix: str,
+    softmax: list[KernelLaunch] | None = None,
+) -> None:
+    """The padded batched-GEMM attention core: ``{prefix}_bmm_qk``, the
+    ``softmax`` launches (by default one masked softmax over the padded
+    scores), then ``{prefix}_bmm_pv``."""
+    units = batch * config.num_heads
+    ctx.launch(
+        batched_gemm_launch(
+            units, seq_len, seq_len, config.head_size,
+            name=f"{prefix}_bmm_qk",
+        )
+    )
+    if softmax is None:
+        softmax = [
+            softmax_launch(units * seq_len, seq_len, name="masked_softmax")
+        ]
+    for launch in softmax:
+        ctx.launch(launch)
+    ctx.launch(
+        batched_gemm_launch(
+            units, seq_len, config.head_size, seq_len,
+            name=f"{prefix}_bmm_pv",
+        )
+    )
+
+
 def estimate_unfused_cublas_mha(
     ctx: ExecutionContext,
     batch: int,
@@ -88,31 +127,7 @@ def estimate_unfused_cublas_mha(
     rows = batch * seq_len
     hidden = config.hidden_size
     ctx.launch(add_bias_split_heads_qkv_launch(rows, 3 * hidden))
-    ctx.launch(
-        batched_gemm_launch(
-            batch * config.num_heads,
-            seq_len,
-            seq_len,
-            config.head_size,
-            name="cublas_bmm_qk",
-        )
-    )
-    ctx.launch(
-        softmax_launch(
-            batch * config.num_heads * seq_len,
-            seq_len,
-            name="masked_softmax",
-        )
-    )
-    ctx.launch(
-        batched_gemm_launch(
-            batch * config.num_heads,
-            seq_len,
-            config.head_size,
-            seq_len,
-            name="cublas_bmm_pv",
-        )
-    )
+    estimate_padded_attention(ctx, batch, seq_len, config, "cublas")
     ctx.launch(split_heads_launch(rows, hidden, name="merge_heads"))
 
 
@@ -126,34 +141,16 @@ def estimate_zeropad_mha(
     batch = len(seq_lens)
     tokens = int(np.sum(seq_lens))
     hidden = config.hidden_size
-    padded_rows = batch * max_seq_len
     ctx.launch(
         add_bias_unpack_split_heads_qkv_launch(
-            tokens, padded_rows, 3 * hidden
+            tokens, batch * max_seq_len, 3 * hidden
         )
     )
-    ctx.launch(
-        batched_gemm_launch(
-            batch * config.num_heads,
-            max_seq_len,
-            max_seq_len,
-            config.head_size,
-            name="cublas_bmm_qk",
-        )
+    softmax = zeropad_softmax_launch(
+        [int(l) for l in seq_lens], config.num_heads
     )
-    ctx.launch(
-        zeropad_softmax_launch(
-            [int(l) for l in seq_lens], config.num_heads
-        )
-    )
-    ctx.launch(
-        batched_gemm_launch(
-            batch * config.num_heads,
-            max_seq_len,
-            config.head_size,
-            max_seq_len,
-            name="cublas_bmm_pv",
-        )
+    estimate_padded_attention(
+        ctx, batch, max_seq_len, config, "cublas", [softmax]
     )
     ctx.launch(pack_merge_heads_launch(tokens, hidden))
 
@@ -298,13 +295,14 @@ def estimate_encoder_layer(
     seq_lens: np.ndarray,
     max_seq_len: int,
     *,
-    mha: str | None = None,
+    mha: str | MhaChain | None = None,
     shard: ShardSpec | None = None,
 ) -> None:
     """One encoder layer's launch chain for either pipeline.
 
     ``mha`` overrides the attention implementation: ``"standard"``,
-    ``"cublas"``, ``"zeropad"`` or ``"fused"``; by default it follows a
+    ``"cublas"``, ``"zeropad"``, ``"fused"``, or an :data:`MhaChain`
+    that emits its own chain; by default it follows a
     :func:`~repro.attention.dispatch.force_mha_path` override if one is
     active (the degradation ladder's hook), else ``opt`` exactly as the
     numeric pipelines do.
@@ -355,7 +353,9 @@ def estimate_encoder_layer(
             mha = "zeropad"
         else:
             mha = "cublas"
-    if mha == "standard":
+    if callable(mha):
+        mha(ctx, seq_lens, max_seq_len, rank_cfg)
+    elif mha == "standard":
         estimate_standard_mha(ctx, batch, max_seq_len, rank_cfg)
     elif mha == "cublas":
         estimate_unfused_cublas_mha(ctx, batch, max_seq_len, rank_cfg)
@@ -408,7 +408,7 @@ def estimate_model(
     seq_lens: np.ndarray,
     max_seq_len: int,
     *,
-    mha: str | None = None,
+    mha: str | MhaChain | None = None,
     shard: ShardSpec | None = None,
 ) -> float:
     """The full model's launch chain; returns the modelled time in us.

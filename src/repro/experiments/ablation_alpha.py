@@ -20,7 +20,7 @@ from repro.experiments.runner import (
     STANDARD_CONFIG,
     render_table,
 )
-from repro.frameworks import FasterTransformer
+from repro.frameworks import FASTER_TRANSFORMER
 from repro.gpusim import ExecutionContext
 from repro.workloads.generator import uniform_lengths
 
@@ -63,14 +63,13 @@ def run(
     seed: int = 0,
 ) -> AlphaSweepResult:
     """Run the experiment sweep and return its structured result."""
-    ft = FasterTransformer()
     points = []
     for alpha in alphas:
         rng = np.random.default_rng(seed)
         lens = uniform_lengths(batch, max_seq_len, alpha, rng)
         ctx = ExecutionContext()
         base = estimate_model(ctx, STANDARD_CONFIG, BASELINE, lens, max_seq_len)
-        ft_us = ft.latency_us(STANDARD_CONFIG, lens, max_seq_len)
+        ft_us = FASTER_TRANSFORMER.latency_us(STANDARD_CONFIG, lens, max_seq_len)
         ctx = ExecutionContext()
         bt = estimate_model(ctx, STANDARD_CONFIG, FUSED_MHA, lens, max_seq_len)
         points.append(

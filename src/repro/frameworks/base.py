@@ -1,24 +1,32 @@
-"""Framework model base class and the Table I feature matrix.
+"""Fig 14's framework models as rows of the paper's Table I.
 
 A framework model is a *cost model* of one of the systems the paper
-benchmarks against in Figure 14: it replays, for a given variable-length
-batch, the kernel-launch chain that framework's documented structure
-implies (padded vs packed, fused vs unfused, per-group re-batching, …)
-into an execution context.  All frameworks compute the same mathematical
-function — BERT — so numerical validation is delegated to
+benchmarks against in Figure 14.  All of them compute the same
+mathematical function — BERT — so numerical validation is delegated to
 :mod:`repro.core.reference`; what differs, and what Figure 14 measures,
-is the schedule.
+is the schedule.  Each framework is one row of data over the one
+estimator, :func:`~repro.core.estimator.estimate_model`:
+
+* a padding policy — padded or packed (the preset's
+  ``remove_padding``), or length-grouped (TurboTransformers' smart
+  batching, padded per group);
+* a fusion preset — the :class:`~repro.core.config.OptimizationConfig`
+  the estimator prices;
+* an MHA chain — an estimator path, or the framework's own chain where
+  no estimator path emits it;
+* a GEMM efficiency factor (XLA's GEMM algorithm picker).
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.config import BertConfig
-from repro.gpusim.stream import ExecutionContext
+from repro.core.config import BertConfig, OptimizationConfig
+from repro.core.estimator import MhaChain, estimate_model
+from repro.gpusim.kernel import ComputeUnit, KernelLaunch
+from repro.gpusim.stream import ExecutionContext, KernelRecord
 
 
 @dataclass(frozen=True)
@@ -41,14 +49,107 @@ class FrameworkFeatures:
         return f"<= {self.fused_mha_max_seq}"
 
 
-class Framework(abc.ABC):
-    """A framework's end-to-end BERT cost model."""
+def smart_batching(
+    seq_lens: np.ndarray, group_cost_tokens: int
+) -> list[np.ndarray]:
+    """TurboTransformer's length-aware grouping, as a 1-D partition DP.
+
+    Sentences are sorted by length (descending) and split into contiguous
+    groups; a group of ``g`` sentences padded to its own maximum costs
+    ``g * group_max`` padded tokens plus a fixed per-group charge of
+    ``group_cost_tokens`` (modelling the extra kernel launches a group
+    adds).  Dynamic programming finds the partition minimising total
+    cost — small fixed charges yield many tight groups, large ones yield
+    fewer, more padded groups.
+
+    Returns the groups as arrays of *original batch indices*.
+    """
+    lens = np.asarray(seq_lens, dtype=np.int64)
+    if lens.ndim != 1 or lens.size == 0:
+        raise ValueError("need a non-empty 1-D length vector")
+    if group_cost_tokens < 0:
+        raise ValueError("group_cost_tokens must be non-negative")
+    order = np.argsort(-lens, kind="stable")
+    sorted_lens = lens[order]
+    n = lens.size
+
+    # dp[i] = min cost of grouping sorted sentences [0, i)
+    dp = np.full(n + 1, np.inf)
+    split = np.zeros(n + 1, dtype=np.int64)
+    dp[0] = 0.0
+    for i in range(1, n + 1):
+        # group (j, i]: max length is sorted_lens[j] (descending order)
+        for j in range(i):
+            cost = dp[j] + (i - j) * int(sorted_lens[j]) + group_cost_tokens
+            if cost < dp[i]:
+                dp[i] = cost
+                split[i] = j
+    groups: list[np.ndarray] = []
+    i = n
+    while i > 0:
+        j = int(split[i])
+        groups.append(order[j:i])
+        i = j
+    groups.reverse()
+    return groups
+
+
+@dataclass(frozen=True)
+class LengthGrouping:
+    """The length-grouped padding policy.
+
+    The batch is split by :func:`smart_batching` and the padded encoder
+    runs once per group, at the group's own maximum length.  The
+    grouping scheduler and the run-time allocator run on the host,
+    serialised with the GPU stream, so each group also costs host time.
+    """
+
+    #: ``smart_batching``'s fixed per-group charge, in padded tokens
+    cost_tokens: int
+    #: host time per group
+    group_overhead_us: float
+    #: host time per layer per group
+    layer_overhead_us: float
+
+
+class _ScaledGemms:
+    """A view of a context that prices every tensor-core (GEMM) launch
+    at ``factor`` times its compute efficiency."""
+
+    def __init__(self, ctx: ExecutionContext, factor: float) -> None:
+        self._ctx = ctx
+        self._factor = factor
+
+    def launch(self, launch: KernelLaunch) -> KernelRecord:
+        if launch.compute_unit is ComputeUnit.TENSOR_FP16:
+            launch = replace(
+                launch,
+                compute_efficiency=launch.compute_efficiency * self._factor,
+            )
+        return self._ctx.launch(launch)
+
+    def __getattr__(self, name: str):
+        return getattr(self._ctx, name)
+
+
+@dataclass(frozen=True)
+class Framework:
+    """A framework's end-to-end BERT cost model: its Table I row and the
+    policies that row selects over the one estimator."""
 
     #: display name used in reports (matches the paper's legend)
-    name: str = "framework"
+    name: str
     #: the framework's Table I row
     features: FrameworkFeatures
-
+    #: the preset the estimator prices: fusion flags and packed/padded
+    opt: OptimizationConfig
+    #: the MHA chain: an estimator path name, the framework's own chain,
+    #: or None for the path ``opt`` selects
+    mha: str | MhaChain | None = None
+    #: length-grouped padding (None = ``opt`` alone decides the padding)
+    grouping: LengthGrouping | None = None
+    #: factor on every GEMM's compute efficiency
+    gemm_efficiency: float = 1.0
     #: largest max_seq_len the framework can serve (None = unlimited)
     max_supported_seq: int | None = None
 
@@ -62,7 +163,6 @@ class Framework(abc.ABC):
             return True
         return max_seq_len <= self.max_supported_seq
 
-    @abc.abstractmethod
     def estimate(
         self,
         ctx: ExecutionContext,
@@ -71,6 +171,21 @@ class Framework(abc.ABC):
         max_seq_len: int,
     ) -> float:
         """Replay the framework's launch chain; return modelled time (us)."""
+        if self.gemm_efficiency != 1.0:
+            ctx = _ScaledGemms(ctx, self.gemm_efficiency)
+        lens = np.asarray(seq_lens)
+        runs, host_us = [(lens, max_seq_len)], 0.0
+        if (g := self.grouping) is not None:
+            groups = smart_batching(lens, g.cost_tokens)
+            runs = [(lens[i], int(lens[i].max())) for i in groups]
+            per_layer = g.layer_overhead_us * config.num_layers
+            host_us = len(runs) * (g.group_overhead_us + per_layer)
+        before = ctx.elapsed_us()
+        for run_lens, run_seq in runs:
+            estimate_model(
+                ctx, config, self.opt, run_lens, run_seq, mha=self.mha
+            )
+        return ctx.elapsed_us() - before + host_us
 
     def latency_us(
         self,

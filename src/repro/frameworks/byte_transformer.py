@@ -1,34 +1,21 @@
-"""ByteTransformer itself, as a framework model for Figure 14."""
+"""ByteTransformer itself, as a framework model for Figure 14.
+
+Its row is the paper's system: zero padding, fused MHA for any length
+and the full kernel fusion — the ``fused MHA`` preset, as is.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.config import FUSED_MHA, BertConfig, OptimizationConfig
-from repro.core.estimator import estimate_model
+from repro.core.config import FUSED_MHA
 from repro.frameworks.base import Framework, FrameworkFeatures
-from repro.gpusim.stream import ExecutionContext
 
-
-class ByteTransformer(Framework):
-    """The paper's system: zero padding + fused MHA + full kernel fusion."""
-
-    name = "ByteTransformer"
-    features = FrameworkFeatures(
+BYTE_TRANSFORMER = Framework(
+    name="ByteTransformer",
+    features=FrameworkFeatures(
         variable_length_support=True,
         kernel_tuning=True,
         fused_mha_max_seq=-1,
         kernel_fusion="yes",
-    )
-
-    def __init__(self, opt: OptimizationConfig | None = None) -> None:
-        self.opt = opt or FUSED_MHA
-
-    def estimate(
-        self,
-        ctx: ExecutionContext,
-        config: BertConfig,
-        seq_lens: np.ndarray,
-        max_seq_len: int,
-    ) -> float:
-        return estimate_model(ctx, config, self.opt, seq_lens, max_seq_len)
+    ),
+    opt=FUSED_MHA,
+)

@@ -8,33 +8,24 @@ lengths up to 512 (register pressure): beyond that it falls back to a
 efficiency cannot be maintained when the sequence length becomes longer
 than 512".  It also lacks ByteTransformer's comprehensive kernel fusion
 (Table I: kernel fusion "no"): the layernorm and FFN epilogues run as
-standalone kernels.
+standalone kernels.  Outside MHA that is the packed, unfused preset.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import BertConfig
-from repro.frameworks.base import Framework, FrameworkFeatures
-from repro.gpusim.stream import ExecutionContext
-from repro.kernels.activation import add_bias_gelu_launch
-from repro.kernels.batched_gemm import batched_gemm_launch
-from repro.kernels.gemm import gemm_launch
-from repro.kernels.layernorm import (
-    add_bias_residual_launch,
-    layernorm_launch,
-)
-from repro.kernels.packing import pack_launch, unpack_launch
-from repro.kernels.prefix_sum import prefix_sum_launch
-from repro.kernels.softmax import softmax_launch
-from repro.kernels.transpose import (
-    add_bias_unpack_split_heads_qkv_launch,
-    pack_merge_heads_launch,
-)
 from repro.attention.fused_short import (
     fused_short_launch,
     short_kernel_shared_mem,
+)
+from repro.core.config import BertConfig, OptimizationConfig
+from repro.core.estimator import estimate_padded_attention
+from repro.frameworks.base import Framework, FrameworkFeatures
+from repro.gpusim.stream import ExecutionContext
+from repro.kernels.transpose import (
+    add_bias_unpack_split_heads_qkv_launch,
+    pack_merge_heads_launch,
 )
 
 #: largest sequence the TensorRT fused-MHA plugin covers
@@ -44,124 +35,50 @@ TRT_FUSED_MHA_MAX_SEQ = 512
 TRT_FUSED_MHA_EFFICIENCY = 0.05
 
 
-class FasterTransformer(Framework):
-    """NVIDIA FasterTransformer 5.1."""
+def faster_transformer_mha(
+    ctx: ExecutionContext,
+    seq_lens: np.ndarray,
+    max_seq_len: int,
+    config: BertConfig,
+) -> None:
+    """TRT's padding-free fused MHA up to 512, else the padded fallback."""
+    smem = short_kernel_shared_mem(max_seq_len, config.head_size, 32)
+    if (
+        max_seq_len <= TRT_FUSED_MHA_MAX_SEQ
+        and smem <= ctx.device.max_shared_mem_per_block
+    ):
+        ctx.launch(
+            fused_short_launch(
+                np.asarray(seq_lens),
+                config.num_heads,
+                config.head_size,
+                efficiency=TRT_FUSED_MHA_EFFICIENCY,
+                name="trt_fused_mha",
+            )
+        )
+        return
+    # fallback: unpad -> padded batched-GEMM MHA with a plain padded
+    # softmax (no zero-padding inside MHA) -> repack
+    batch = len(seq_lens)
+    tokens = int(np.sum(seq_lens))
+    hidden = config.hidden_size
+    ctx.launch(
+        add_bias_unpack_split_heads_qkv_launch(
+            tokens, batch * max_seq_len, 3 * hidden
+        )
+    )
+    estimate_padded_attention(ctx, batch, max_seq_len, config, "ft")
+    ctx.launch(pack_merge_heads_launch(tokens, hidden))
 
-    name = "FasterTransformer"
-    features = FrameworkFeatures(
+
+FASTER_TRANSFORMER = Framework(
+    name="FasterTransformer",
+    features=FrameworkFeatures(
         variable_length_support=True,
         kernel_tuning=True,
         fused_mha_max_seq=TRT_FUSED_MHA_MAX_SEQ,
         kernel_fusion="no",
-    )
-
-    def _estimate_mha(
-        self,
-        ctx: ExecutionContext,
-        config: BertConfig,
-        seq_lens: np.ndarray,
-        max_seq_len: int,
-    ) -> None:
-        batch = len(seq_lens)
-        tokens = int(np.sum(seq_lens))
-        hidden = config.hidden_size
-        smem_needed = short_kernel_shared_mem(
-            max_seq_len, config.head_size, 32
-        )
-        if (
-            max_seq_len <= TRT_FUSED_MHA_MAX_SEQ
-            and smem_needed <= ctx.device.max_shared_mem_per_block
-        ):
-            # TRT varlen fused MHA: one kernel, padding-free
-            ctx.launch(
-                fused_short_launch(
-                    np.asarray(seq_lens),
-                    config.num_heads,
-                    config.head_size,
-                    efficiency=TRT_FUSED_MHA_EFFICIENCY,
-                    name="trt_fused_mha",
-                )
-            )
-            return
-        # fallback: unpad -> padded batched-GEMM MHA -> repack, with a
-        # plain padded softmax (no zero-padding inside MHA)
-        padded_rows = batch * max_seq_len
-        ctx.launch(
-            add_bias_unpack_split_heads_qkv_launch(
-                tokens, padded_rows, 3 * hidden
-            )
-        )
-        ctx.launch(
-            batched_gemm_launch(
-                batch * config.num_heads,
-                max_seq_len,
-                max_seq_len,
-                config.head_size,
-                name="ft_bmm_qk",
-            )
-        )
-        ctx.launch(
-            softmax_launch(
-                batch * config.num_heads * max_seq_len,
-                max_seq_len,
-                name="masked_softmax",
-            )
-        )
-        ctx.launch(
-            batched_gemm_launch(
-                batch * config.num_heads,
-                max_seq_len,
-                config.head_size,
-                max_seq_len,
-                name="ft_bmm_pv",
-            )
-        )
-        ctx.launch(pack_merge_heads_launch(tokens, hidden))
-
-    def estimate(
-        self,
-        ctx: ExecutionContext,
-        config: BertConfig,
-        seq_lens: np.ndarray,
-        max_seq_len: int,
-    ) -> float:
-        batch = len(seq_lens)
-        tokens = int(np.sum(seq_lens))
-        hidden = config.hidden_size
-        before = ctx.elapsed_us()
-        # effective-transformer packing once per forward pass
-        ctx.launch(prefix_sum_launch(batch, max_seq_len))
-        ctx.launch(pack_launch(tokens, hidden))
-        for _ in range(config.num_layers):
-            ctx.launch(
-                gemm_launch(
-                    tokens, 3 * hidden, hidden, name="gemm0_qkv",
-                    category="gemm0",
-                )
-            )
-            self._estimate_mha(ctx, config, seq_lens, max_seq_len)
-            ctx.launch(
-                gemm_launch(
-                    tokens, hidden, hidden, name="gemm1_attn_out",
-                    category="gemm1",
-                )
-            )
-            ctx.launch(add_bias_residual_launch(tokens, hidden, "layernorm0"))
-            ctx.launch(layernorm_launch(tokens, hidden, "layernorm0"))
-            ctx.launch(
-                gemm_launch(
-                    tokens, config.ffn_size, hidden, name="gemm2",
-                    category="gemm2",
-                )
-            )
-            ctx.launch(add_bias_gelu_launch(tokens, config.ffn_size))
-            ctx.launch(
-                gemm_launch(
-                    tokens, hidden, config.ffn_size, name="gemm3_ffn_out",
-                    category="gemm3",
-                )
-            )
-            ctx.launch(add_bias_residual_launch(tokens, hidden, "layernorm1"))
-            ctx.launch(layernorm_launch(tokens, hidden, "layernorm1"))
-        ctx.launch(unpack_launch(tokens, batch * max_seq_len, hidden))
-        return ctx.elapsed_us() - before
+    ),
+    opt=OptimizationConfig(remove_padding=True),
+    mha=faster_transformer_mha,
+)

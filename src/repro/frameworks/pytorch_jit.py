@@ -5,120 +5,50 @@ cores), the JIT fuses short element-wise chains (bias+mask into softmax,
 bias+GELU into one kernel), but the pipeline is *padded* end-to-end and
 MHA still launches separate transpose copies for Q/K/V — no cross-op
 fusion, no variable-length support (Table I row: variable-len no, tuning
-yes, fused MHA no, fusion no).
+yes, fused MHA no, fusion no).  Outside MHA that is the padded
+``baseline`` preset.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import BertConfig
+from repro.core.config import BASELINE, BertConfig
+from repro.core.estimator import estimate_padded_attention
 from repro.frameworks.base import Framework, FrameworkFeatures
 from repro.gpusim.stream import ExecutionContext
-from repro.kernels.activation import add_bias_gelu_launch, add_bias_launch
-from repro.kernels.batched_gemm import batched_gemm_launch
-from repro.kernels.gemm import gemm_launch
-from repro.kernels.layernorm import (
-    add_bias_residual_launch,
-    layernorm_launch,
-)
-from repro.kernels.softmax import softmax_launch
+from repro.kernels.activation import add_bias_launch
 from repro.kernels.transpose import split_heads_launch
 
 
-class PyTorchJIT(Framework):
-    """Meta PyTorch 1.13 with TorchScript JIT."""
+def pytorch_jit_mha(
+    ctx: ExecutionContext,
+    seq_lens: np.ndarray,
+    max_seq_len: int,
+    config: BertConfig,
+) -> None:
+    """FP16 eager MHA: bias, 3 transposes, bmm, softmax, bmm, merge."""
+    rows = len(seq_lens) * max_seq_len
+    hidden = config.hidden_size
+    ctx.launch(add_bias_launch(rows, 3 * hidden, category="attention"))
+    for part in "qkv":
+        name = f"pt_transpose_{part}"
+        ctx.launch(split_heads_launch(rows, hidden, name=name))
+    # JIT fuses the mask add into the softmax pass
+    estimate_padded_attention(
+        ctx, len(seq_lens), max_seq_len, config, "pt"
+    )
+    ctx.launch(split_heads_launch(rows, hidden, name="pt_transpose_out"))
 
-    name = "PyTorch JIT"
-    features = FrameworkFeatures(
+
+PYTORCH_JIT = Framework(
+    name="PyTorch JIT",
+    features=FrameworkFeatures(
         variable_length_support=False,
         kernel_tuning=True,
         fused_mha_max_seq=None,
         kernel_fusion="no",
-    )
-
-    def _estimate_mha(
-        self,
-        ctx: ExecutionContext,
-        batch: int,
-        seq_len: int,
-        config: BertConfig,
-    ) -> None:
-        """FP16 eager MHA: bias, 3 transposes, bmm, softmax, bmm, merge."""
-        rows = batch * seq_len
-        hidden = config.hidden_size
-        ctx.launch(add_bias_launch(rows, 3 * hidden, category="attention"))
-        for name in ("pt_transpose_q", "pt_transpose_k", "pt_transpose_v"):
-            ctx.launch(split_heads_launch(rows, hidden, name=name))
-        ctx.launch(
-            batched_gemm_launch(
-                batch * config.num_heads,
-                seq_len,
-                seq_len,
-                config.head_size,
-                name="pt_bmm_qk",
-            )
-        )
-        # JIT fuses the mask add into the softmax pass
-        ctx.launch(
-            softmax_launch(
-                batch * config.num_heads * seq_len,
-                seq_len,
-                name="masked_softmax",
-            )
-        )
-        ctx.launch(
-            batched_gemm_launch(
-                batch * config.num_heads,
-                seq_len,
-                config.head_size,
-                seq_len,
-                name="pt_bmm_pv",
-            )
-        )
-        ctx.launch(split_heads_launch(rows, hidden, name="pt_transpose_out"))
-
-    def estimate(
-        self,
-        ctx: ExecutionContext,
-        config: BertConfig,
-        seq_lens: np.ndarray,
-        max_seq_len: int,
-    ) -> float:
-        batch = len(seq_lens)
-        rows = batch * max_seq_len
-        hidden = config.hidden_size
-        before = ctx.elapsed_us()
-        for _ in range(config.num_layers):
-            ctx.launch(
-                gemm_launch(
-                    rows, 3 * hidden, hidden, name="gemm0_qkv",
-                    category="gemm0",
-                )
-            )
-            self._estimate_mha(ctx, batch, max_seq_len, config)
-            ctx.launch(
-                gemm_launch(
-                    rows, hidden, hidden, name="gemm1_attn_out",
-                    category="gemm1",
-                )
-            )
-            ctx.launch(add_bias_residual_launch(rows, hidden, "layernorm0"))
-            ctx.launch(layernorm_launch(rows, hidden, "layernorm0"))
-            ctx.launch(
-                gemm_launch(
-                    rows, config.ffn_size, hidden, name="gemm2",
-                    category="gemm2",
-                )
-            )
-            # JIT fuses bias + GELU into one element-wise kernel
-            ctx.launch(add_bias_gelu_launch(rows, config.ffn_size))
-            ctx.launch(
-                gemm_launch(
-                    rows, hidden, config.ffn_size, name="gemm3_ffn_out",
-                    category="gemm3",
-                )
-            )
-            ctx.launch(add_bias_residual_launch(rows, hidden, "layernorm1"))
-            ctx.launch(layernorm_launch(rows, hidden, "layernorm1"))
-        return ctx.elapsed_us() - before
+    ),
+    opt=BASELINE,
+    mha=pytorch_jit_mha,
+)

@@ -6,26 +6,19 @@ than hand-picked cuBLAS heuristics, and layout-assignment inserts extra
 transpose/copy ops around the attention einsums.  Measured TF-XLA BERT
 inference trails PyTorch by ~20-25% at these shapes, which is what the
 extra kernels and the GEMM penalty reproduce (Table I row: variable-len
-no, tuning yes, fused MHA no, fusion no).
+no, tuning yes, fused MHA no, fusion no).  Outside MHA that is the
+padded ``baseline`` preset with every GEMM at the penalty.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from repro.core.config import BertConfig
+from repro.core.config import BASELINE, BertConfig
+from repro.core.estimator import estimate_padded_attention
 from repro.frameworks.base import Framework, FrameworkFeatures
-from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.stream import ExecutionContext
-from repro.kernels.activation import add_bias_gelu_launch, add_bias_launch
-from repro.kernels.batched_gemm import batched_gemm_launch
-from repro.kernels.gemm import gemm_launch
-from repro.kernels.layernorm import (
-    add_bias_residual_launch,
-    layernorm_launch,
-)
+from repro.kernels.activation import add_bias_launch
 from repro.kernels.softmax import add_mask_launch, softmax_launch
 from repro.kernels.transpose import split_heads_launch
 
@@ -34,116 +27,43 @@ from repro.kernels.transpose import split_heads_launch
 XLA_GEMM_PENALTY = 0.80
 
 
-def _degrade(launch: KernelLaunch) -> KernelLaunch:
-    """Apply the XLA GEMM-selection penalty to a GEMM launch."""
-    return dataclasses.replace(
-        launch,
-        compute_efficiency=launch.compute_efficiency * XLA_GEMM_PENALTY,
+def xla_mha(
+    ctx: ExecutionContext,
+    seq_lens: np.ndarray,
+    max_seq_len: int,
+    config: BertConfig,
+) -> None:
+    """XLA's MHA: bias, Q/K/V layout copies, bmm, mask, softmax, bmm,
+    output copy."""
+    batch = len(seq_lens)
+    rows = batch * max_seq_len
+    hidden = config.hidden_size
+    score_rows = batch * config.num_heads * max_seq_len
+    ctx.launch(add_bias_launch(rows, 3 * hidden, category="attention"))
+    # layout assignment materialises Q, K, V copies
+    for part in "qkv":
+        name = f"xla_copy_{part}"
+        ctx.launch(split_heads_launch(rows, hidden, name=name))
+    # the mask add is a separate fused-elementwise cluster
+    softmax = [
+        add_mask_launch(score_rows, max_seq_len, rows),
+        softmax_launch(score_rows, max_seq_len, name="xla_softmax"),
+    ]
+    estimate_padded_attention(
+        ctx, batch, max_seq_len, config, "xla", softmax
     )
+    ctx.launch(split_heads_launch(rows, hidden, name="xla_copy_out"))
 
 
-class TensorFlowXLA(Framework):
-    """Google TensorFlow 2.8 with XLA JIT compilation."""
-
-    name = "TensorFlow XLA"
-    features = FrameworkFeatures(
+TENSORFLOW_XLA = Framework(
+    name="TensorFlow XLA",
+    features=FrameworkFeatures(
         variable_length_support=False,
         kernel_tuning=True,
         fused_mha_max_seq=None,
         kernel_fusion="no",
-    )
-
-    def _estimate_mha(
-        self,
-        ctx: ExecutionContext,
-        batch: int,
-        seq_len: int,
-        config: BertConfig,
-    ) -> None:
-        rows = batch * seq_len
-        hidden = config.hidden_size
-        score_rows = batch * config.num_heads * seq_len
-        ctx.launch(add_bias_launch(rows, 3 * hidden, category="attention"))
-        # layout assignment materialises Q, K, V copies
-        for name in ("xla_copy_q", "xla_copy_k", "xla_copy_v"):
-            ctx.launch(split_heads_launch(rows, hidden, name=name))
-        ctx.launch(
-            _degrade(
-                batched_gemm_launch(
-                    batch * config.num_heads,
-                    seq_len,
-                    seq_len,
-                    config.head_size,
-                    name="xla_bmm_qk",
-                )
-            )
-        )
-        # mask add is a separate fused-elementwise cluster, then softmax
-        ctx.launch(
-            add_mask_launch(score_rows, seq_len, batch * seq_len)
-        )
-        ctx.launch(softmax_launch(score_rows, seq_len, name="xla_softmax"))
-        ctx.launch(
-            _degrade(
-                batched_gemm_launch(
-                    batch * config.num_heads,
-                    seq_len,
-                    config.head_size,
-                    seq_len,
-                    name="xla_bmm_pv",
-                )
-            )
-        )
-        ctx.launch(split_heads_launch(rows, hidden, name="xla_copy_out"))
-
-    def estimate(
-        self,
-        ctx: ExecutionContext,
-        config: BertConfig,
-        seq_lens: np.ndarray,
-        max_seq_len: int,
-    ) -> float:
-        batch = len(seq_lens)
-        rows = batch * max_seq_len
-        hidden = config.hidden_size
-        before = ctx.elapsed_us()
-        for _ in range(config.num_layers):
-            ctx.launch(
-                _degrade(
-                    gemm_launch(
-                        rows, 3 * hidden, hidden, name="gemm0_qkv",
-                        category="gemm0",
-                    )
-                )
-            )
-            self._estimate_mha(ctx, batch, max_seq_len, config)
-            ctx.launch(
-                _degrade(
-                    gemm_launch(
-                        rows, hidden, hidden, name="gemm1_attn_out",
-                        category="gemm1",
-                    )
-                )
-            )
-            ctx.launch(add_bias_residual_launch(rows, hidden, "layernorm0"))
-            ctx.launch(layernorm_launch(rows, hidden, "layernorm0"))
-            ctx.launch(
-                _degrade(
-                    gemm_launch(
-                        rows, config.ffn_size, hidden, name="gemm2",
-                        category="gemm2",
-                    )
-                )
-            )
-            ctx.launch(add_bias_gelu_launch(rows, config.ffn_size))
-            ctx.launch(
-                _degrade(
-                    gemm_launch(
-                        rows, hidden, config.ffn_size, name="gemm3_ffn_out",
-                        category="gemm3",
-                    )
-                )
-            )
-            ctx.launch(add_bias_residual_launch(rows, hidden, "layernorm1"))
-            ctx.launch(layernorm_launch(rows, hidden, "layernorm1"))
-        return ctx.elapsed_us() - before
+    ),
+    opt=BASELINE,
+    mha=xla_mha,
+    gemm_efficiency=XLA_GEMM_PENALTY,
+)

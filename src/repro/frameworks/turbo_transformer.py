@@ -9,28 +9,19 @@ grid — which is exactly the "significant performance degradation for
 models with large batch numbers and sequence lengths" the paper observes.
 
 Its kernels fuse some memory-bound footprints ("partially" in Table I):
-we give it the fused add-bias+layernorm kernel but an unfused FFN
-epilogue and a plain padded batched-GEMM MHA.  TurboTransformer only
-supports sequences shorter than 512.
+per group that is the ``layernorm fusion`` preset — the fused
+add-bias+layernorm kernel, an unfused FFN epilogue — with a plain padded
+batched-GEMM (cuBLAS) MHA.  TurboTransformer only supports sequences
+shorter than 512.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from repro.core.config import LAYERNORM_FUSION
+from repro.frameworks.base import Framework, FrameworkFeatures, LengthGrouping
 
-from repro.core.config import BertConfig
-from repro.frameworks.base import Framework, FrameworkFeatures
-from repro.gpusim.stream import ExecutionContext
-from repro.kernels.activation import add_bias_gelu_launch
-from repro.kernels.batched_gemm import batched_gemm_launch
-from repro.kernels.gemm import gemm_launch
-from repro.kernels.layernorm import fused_layernorm_launch
-from repro.kernels.softmax import softmax_launch
-from repro.kernels.transpose import (
-    add_bias_split_heads_qkv_launch,
-    split_heads_launch,
-)
-
+#: smart batching's fixed per-group charge, in padded tokens
+GROUP_COST_TOKENS = 320
 #: fixed per-group runtime cost of the batch scheduler itself
 GROUP_OVERHEAD_US = 50.0
 #: host-side cost of TurboTransformer's model-aware memory allocator and
@@ -40,159 +31,20 @@ GROUP_OVERHEAD_US = 50.0
 #: large batch counts (many groups) in Figure 14.
 ALLOCATOR_OVERHEAD_PER_LAYER_US = 60.0
 
-
-def smart_batching(
-    seq_lens: np.ndarray, group_cost_tokens: int
-) -> list[np.ndarray]:
-    """TurboTransformer's length-aware grouping, as a 1-D partition DP.
-
-    Sentences are sorted by length (descending) and split into contiguous
-    groups; a group of ``g`` sentences padded to its own maximum costs
-    ``g * group_max`` padded tokens plus a fixed per-group charge of
-    ``group_cost_tokens`` (modelling the extra kernel launches a group
-    adds).  Dynamic programming finds the partition minimising total
-    cost — small fixed charges yield many tight groups, large ones yield
-    fewer, more padded groups.
-
-    Returns the groups as arrays of *original batch indices*.
-    """
-    lens = np.asarray(seq_lens, dtype=np.int64)
-    if lens.ndim != 1 or lens.size == 0:
-        raise ValueError("need a non-empty 1-D length vector")
-    if group_cost_tokens < 0:
-        raise ValueError("group_cost_tokens must be non-negative")
-    order = np.argsort(-lens, kind="stable")
-    sorted_lens = lens[order]
-    n = lens.size
-
-    # dp[i] = min cost of grouping sorted sentences [0, i)
-    dp = np.full(n + 1, np.inf)
-    split = np.zeros(n + 1, dtype=np.int64)
-    dp[0] = 0.0
-    for i in range(1, n + 1):
-        # group (j, i]: max length is sorted_lens[j] (descending order)
-        for j in range(i):
-            cost = (
-                dp[j]
-                + (i - j) * int(sorted_lens[j])
-                + group_cost_tokens
-            )
-            if cost < dp[i]:
-                dp[i] = cost
-                split[i] = j
-    groups: list[np.ndarray] = []
-    i = n
-    while i > 0:
-        j = int(split[i])
-        groups.append(order[j:i])
-        i = j
-    groups.reverse()
-    return groups
-
-
-class TurboTransformer(Framework):
-    """Tencent TurboTransformer 0.5.1 with smart batching enabled."""
-
-    name = "TurboTransformer"
-    features = FrameworkFeatures(
+TURBO_TRANSFORMER = Framework(
+    name="TurboTransformer",
+    features=FrameworkFeatures(
         variable_length_support=True,
         kernel_tuning=True,
         fused_mha_max_seq=None,
         kernel_fusion="partially",
-    )
-    max_supported_seq = 511
-
-    def __init__(self, group_cost_tokens: int = 320) -> None:
-        if group_cost_tokens < 0:
-            raise ValueError("group_cost_tokens must be non-negative")
-        self.group_cost_tokens = group_cost_tokens
-
-    def _estimate_group(
-        self,
-        ctx: ExecutionContext,
-        config: BertConfig,
-        group_batch: int,
-        group_max_len: int,
-    ) -> None:
-        """One encoder layer stack pass for one padded group."""
-        rows = group_batch * group_max_len
-        hidden = config.hidden_size
-        heads = config.num_heads
-        for _ in range(config.num_layers):
-            ctx.launch(
-                gemm_launch(
-                    rows, 3 * hidden, hidden, name="gemm0_qkv",
-                    category="gemm0",
-                )
-            )
-            ctx.launch(add_bias_split_heads_qkv_launch(rows, 3 * hidden))
-            ctx.launch(
-                batched_gemm_launch(
-                    group_batch * heads,
-                    group_max_len,
-                    group_max_len,
-                    config.head_size,
-                    name="turbo_bmm_qk",
-                )
-            )
-            ctx.launch(
-                softmax_launch(
-                    group_batch * heads * group_max_len,
-                    group_max_len,
-                    name="masked_softmax",
-                )
-            )
-            ctx.launch(
-                batched_gemm_launch(
-                    group_batch * heads,
-                    group_max_len,
-                    config.head_size,
-                    group_max_len,
-                    name="turbo_bmm_pv",
-                )
-            )
-            ctx.launch(split_heads_launch(rows, hidden, name="merge_heads"))
-            ctx.launch(
-                gemm_launch(
-                    rows, hidden, hidden, name="gemm1_attn_out",
-                    category="gemm1",
-                )
-            )
-            ctx.launch(fused_layernorm_launch(rows, hidden, "layernorm0"))
-            ctx.launch(
-                gemm_launch(
-                    rows, config.ffn_size, hidden, name="gemm2",
-                    category="gemm2",
-                )
-            )
-            ctx.launch(add_bias_gelu_launch(rows, config.ffn_size))
-            ctx.launch(
-                gemm_launch(
-                    rows, hidden, config.ffn_size, name="gemm3_ffn_out",
-                    category="gemm3",
-                )
-            )
-            ctx.launch(fused_layernorm_launch(rows, hidden, "layernorm1"))
-
-    def estimate(
-        self,
-        ctx: ExecutionContext,
-        config: BertConfig,
-        seq_lens: np.ndarray,
-        max_seq_len: int,
-    ) -> float:
-        groups = smart_batching(seq_lens, self.group_cost_tokens)
-        before = ctx.elapsed_us()
-        total_overhead = 0.0
-        for group in groups:
-            group_lens = np.asarray(seq_lens)[group]
-            self._estimate_group(
-                ctx, config, len(group), int(group_lens.max())
-            )
-            total_overhead += (
-                GROUP_OVERHEAD_US
-                + ALLOCATOR_OVERHEAD_PER_LAYER_US * config.num_layers
-            )
-        # the batch scheduler and allocator run on the host, serialising
-        # with the GPU work
-        return ctx.elapsed_us() - before + total_overhead
+    ),
+    opt=LAYERNORM_FUSION,
+    mha="cublas",
+    grouping=LengthGrouping(
+        cost_tokens=GROUP_COST_TOKENS,
+        group_overhead_us=GROUP_OVERHEAD_US,
+        layer_overhead_us=ALLOCATOR_OVERHEAD_PER_LAYER_US,
+    ),
+    max_supported_seq=511,
+)

@@ -1,18 +1,17 @@
 """Framework cost models: features, support ranges, ordering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.config import BertConfig
-from repro.frameworks import (
-    ByteTransformer,
-    FasterTransformer,
-    PyTorchJIT,
-    TensorFlowXLA,
-    TurboTransformer,
-    all_frameworks,
-    table1_rows,
-)
+from repro.frameworks import all_frameworks, table1_rows
+from repro.frameworks.byte_transformer import BYTE_TRANSFORMER
+from repro.frameworks.faster_transformer import FASTER_TRANSFORMER
+from repro.frameworks.pytorch_jit import PYTORCH_JIT
+from repro.frameworks.tensorflow_xla import TENSORFLOW_XLA
+from repro.frameworks.turbo_transformer import TURBO_TRANSFORMER
 from repro.gpusim import ExecutionContext
 from repro.workloads.generator import uniform_lengths
 
@@ -58,14 +57,16 @@ class TestFeatures:
 
 class TestSupport:
     def test_turbo_rejects_long_sequences(self):
-        turbo = TurboTransformer()
+        turbo = TURBO_TRANSFORMER
         assert turbo.supports(511)
         assert not turbo.supports(512)
         with pytest.raises(ValueError, match="support"):
             turbo.latency_us(SMALL_CFG, np.array([100]), 1024)
 
     def test_others_unlimited(self):
-        for fw in (PyTorchJIT(), TensorFlowXLA(), FasterTransformer(), ByteTransformer()):
+        for fw in (
+            PYTORCH_JIT, TENSORFLOW_XLA, FASTER_TRANSFORMER, BYTE_TRANSFORMER
+        ):
             assert fw.supports(4096)
 
 
@@ -92,7 +93,7 @@ class TestEstimates:
         for batch in (8, 16):
             for seq in (128, 256, 448):
                 lens = uniform_lengths(batch, seq, 0.6, rng)
-                bt = ByteTransformer().latency_us(CFG, lens, seq)
+                bt = BYTE_TRANSFORMER.latency_us(CFG, lens, seq)
                 for fw in all_frameworks():
                     if fw.supports(seq):
                         sums[fw.name] += fw.latency_us(CFG, lens, seq) / bt
@@ -104,7 +105,7 @@ class TestEstimates:
         assert ratios["FasterTransformer"] > 1.0
 
     def test_ft_long_sequence_fallback_changes_kernels(self):
-        ft = FasterTransformer()
+        ft = FASTER_TRANSFORMER
         rng = np.random.default_rng(1)
 
         short = ExecutionContext()
@@ -120,7 +121,7 @@ class TestEstimates:
 
     def test_ft_degrades_past_512(self):
         """FT's time-per-token jumps when the TRT fused MHA cuts out."""
-        ft = FasterTransformer()
+        ft = FASTER_TRANSFORMER
         rng = np.random.default_rng(2)
         lens_512 = uniform_lengths(8, 512, 0.6, rng)
         lens_640 = uniform_lengths(8, 640, 0.6, rng)
@@ -131,8 +132,12 @@ class TestEstimates:
     def test_turbo_group_count_drives_cost(self):
         """More groups (tight packing) trade padding for launch overhead;
         the same lengths with forced single group must differ."""
-        turbo_many = TurboTransformer(group_cost_tokens=0)
-        turbo_one = TurboTransformer(group_cost_tokens=10**6)
+        def with_cost(tokens):
+            grouping = replace(TURBO_TRANSFORMER.grouping, cost_tokens=tokens)
+            return replace(TURBO_TRANSFORMER, grouping=grouping)
+
+        turbo_many = with_cost(0)
+        turbo_one = with_cost(10**6)
         lens = np.array([100, 100, 400, 400])
         t_many = turbo_many.latency_us(SMALL_CFG, lens, 448)
         t_one = turbo_one.latency_us(SMALL_CFG, lens, 448)
@@ -140,16 +145,16 @@ class TestEstimates:
 
     def test_estimates_deterministic(self, workload):
         lens, seq = workload
-        fw = ByteTransformer()
+        fw = BYTE_TRANSFORMER
         assert fw.latency_us(SMALL_CFG, lens, seq) == pytest.approx(
             fw.latency_us(SMALL_CFG, lens, seq)
         )
 
     def test_xla_slower_than_pytorch(self, workload):
         lens, seq = workload
-        assert TensorFlowXLA().latency_us(
+        assert TENSORFLOW_XLA.latency_us(
             CFG, lens, seq
-        ) > PyTorchJIT().latency_us(CFG, lens, seq)
+        ) > PYTORCH_JIT.latency_us(CFG, lens, seq)
 
 
 class TestFeatureLabels:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frameworks.turbo_transformer import smart_batching
+from repro.frameworks import smart_batching
 
 
 def partition_cost(sorted_lens, groups_of_indices, group_cost):

@@ -120,6 +120,8 @@ KERNEL_NAMES = {
     "TurboTransformer": [
         "add_bias_gelu",
         "add_bias_split_heads_qkv",
+        "cublas_bmm_pv",
+        "cublas_bmm_qk",
         "fused_add_bias_residual_layernorm",
         "gemm0_qkv",
         "gemm1_attn_out",
@@ -127,8 +129,6 @@ KERNEL_NAMES = {
         "gemm3_ffn_out",
         "masked_softmax",
         "merge_heads",
-        "turbo_bmm_pv",
-        "turbo_bmm_qk",
     ],
     "FasterTransformer": [
         "add_bias_gelu",
@@ -167,7 +167,7 @@ KERNEL_NAMES = {
 NAME_DIGESTS = {
     "PyTorch JIT": "20b4484b44f5169e",
     "TensorFlow XLA": "4f2ec4f10bfe075a",
-    "TurboTransformer": "d6a980f6212531b3",
+    "TurboTransformer": "23a257f2ab5a5faf",
     "FasterTransformer": "f9c81a6ab61e0552",
     "ByteTransformer": "b4fc0302b1394f89",
 }
