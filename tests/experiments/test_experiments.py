@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments import (
     ablation_alpha,
+    ablation_decode,
     ablation_devices,
     ablation_scheduler,
     fig3_breakdown,
@@ -69,6 +70,10 @@ class TestFig9:
 
 
 class TestFig10:
+    def test_gain_above_floor(self):
+        # paper: 0.24; the model runs higher
+        assert fig10_gelu_fusion.run().average_gain > 0.15
+
     def test_fused_always_faster(self):
         for p in fig10_gelu_fusion.run().points:
             assert p.fused_us < p.unfused_us
@@ -105,6 +110,9 @@ class TestFig11:
         gain = result.average_gain("pytorch")
         assert 4.0 <= gain <= 9.0  # paper: 6.17
 
+    def test_cublas_gap_near_paper(self, result):
+        assert result.average_gain("cublas") > 0.2  # paper: 0.42
+
     def test_zeropad_gap_near_paper(self, result):
         gain = result.average_gain("zeropad")
         assert 0.1 <= gain <= 0.7  # paper: 0.30
@@ -120,6 +128,9 @@ class TestFig12:
             assert p.times_us["fused"] < p.times_us["zeropad"]
             assert p.times_us["zeropad"] < p.times_us["cublas"]
             assert p.times_us["cublas"] < p.times_us["pytorch"]
+
+    def test_cublas_gap_near_paper(self, result):
+        assert result.average_gain("cublas") > 0.6  # paper: 1.10
 
     def test_zeropad_gap_near_paper(self, result):
         gain = result.average_gain("zeropad")
@@ -141,6 +152,10 @@ class TestFig13:
         for point in result.points:
             for step in range(1, 5):
                 assert point.step_gain(step) > -0.01
+
+    def test_every_step_improves_on_average(self, result):
+        for step in range(1, 5):
+            assert result.average_step_gain(step) > 0.0
 
     def test_total_gain_near_paper(self, result):
         assert 0.4 <= result.average_total_gain <= 1.1  # paper: 0.60
@@ -186,6 +201,24 @@ class TestFig14:
         assert gains["PyTorch JIT"] > gains["FasterTransformer"]
         assert gains["FasterTransformer"] > 0.1
 
+    def test_full_grid_headline(self):
+        """The headline numbers over the full batch x seqlen grid:
+        ByteTransformer fastest everywhere, and the paper's ordering of
+        the average gains."""
+        result = fig14_end_to_end.run()
+        for p in result.points:
+            times = dict(p.times_us)
+            bt = times.pop("ByteTransformer")
+            shape = (p.batch, p.max_seq_len)
+            assert all(bt < t for t in times.values()), shape
+        gains = {
+            name: result.average_gain(name)
+            for name in fig14_end_to_end.PAPER_GAINS
+        }
+        assert gains["TurboTransformer"] > gains["PyTorch JIT"]
+        assert gains["TensorFlow XLA"] > gains["PyTorch JIT"]
+        assert gains["PyTorch JIT"] > gains["FasterTransformer"] > 0.1
+
     def test_formatting_has_three_batches(self):
         small = fig14_end_to_end.run(batches=(1, 8), seq_lens=(128,))
         text = fig14_end_to_end.format_result(small)
@@ -210,3 +243,12 @@ class TestAblations:
     def test_device_sweep_bt_wins_everywhere(self):
         result = ablation_devices.run(seq_lens=(256, 1024))
         assert result.wins_everywhere()
+
+    def test_decode_kv_traffic_sweep(self):
+        """Zero padding at decode time: every step is faster and moves
+        less KV traffic, and the gain shrinks as padding vanishes."""
+        result = ablation_decode.run()
+        assert result.gain_shrinks_with_alpha()
+        for p in result.points:
+            assert p.step_gain > 0.0
+            assert p.traffic_ratio > 1.0
