@@ -25,6 +25,7 @@ above)::
         --trace-out t.json --metrics-out m.jsonl
         --baseline <copy of benchmarks/history>
     -m repro bench --quick --check --devices 4 --out s.json
+    -m repro serve-chaos --quick
     -m repro serve-chaos --batcher continuous --quick
     -m repro serve-chaos --quick --batcher continuous --devices 4 --shard dp
     -m repro generate --quick --check --fault-rate 0.2
