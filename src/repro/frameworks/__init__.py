@@ -8,7 +8,6 @@ estimator (see :mod:`repro.frameworks.base`).
 from repro.frameworks.base import (
     Framework,
     FrameworkFeatures,
-    LengthGrouping,
     smart_batching,
     table1_rows,
 )

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import BertConfig
-from repro.frameworks import all_frameworks, table1_rows
-from repro.frameworks.byte_transformer import BYTE_TRANSFORMER
-from repro.frameworks.faster_transformer import FASTER_TRANSFORMER
-from repro.frameworks.pytorch_jit import PYTORCH_JIT
-from repro.frameworks.tensorflow_xla import TENSORFLOW_XLA
-from repro.frameworks.turbo_transformer import TURBO_TRANSFORMER
+from repro.frameworks import (
+    BYTE_TRANSFORMER,
+    FASTER_TRANSFORMER,
+    PYTORCH_JIT,
+    TENSORFLOW_XLA,
+    TURBO_TRANSFORMER,
+    all_frameworks,
+    table1_rows,
+)
 from repro.gpusim import ExecutionContext
 from repro.workloads.generator import uniform_lengths
 
