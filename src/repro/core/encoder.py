@@ -28,6 +28,7 @@ from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
 from repro.core.weights import LayerWeights
 from repro.core.parallel import (
+    ROW_ALIGN,
     SPLIT_MIN_MULADDS,
     current_executor,
     row_parts,
@@ -41,6 +42,11 @@ from repro.kernels.layernorm import (
     add_bias_residual_layernorm,
     add_bias_residual_layernorm_unfused,
 )
+
+#: rows of the FFN's ``[rows, ffn_size]`` intermediate a row part holds
+#: at once.  A multiple of :data:`~repro.core.parallel.ROW_ALIGN`, so
+#: on one BLAS thread a GEMM cut into blocks keeps every row's bits
+FFN_BLOCK_ROWS = 8 * ROW_ALIGN
 
 
 def _layernorm_block(
@@ -75,23 +81,12 @@ def _ffn_block(
     out: np.ndarray | None = None,
     tmp: np.ndarray | None = None,
     gelu_variant: str = "exact",
-    segment_offsets: np.ndarray | None = None,
 ) -> np.ndarray:
-    """GEMM2 + add-bias + GELU, fused into the epilogue or standalone.
-
-    With ``segment_offsets`` (the packed pipeline), the up-projection is
-    a single-call :func:`tile_gemm` over every segment of the buffer.
-    """
-    def up_gemm(**kwargs: object) -> np.ndarray:
-        if segment_offsets is not None:
-            return tile_gemm(
-                x, weights.ffn_in_weight,
-                segment_offsets=segment_offsets, **kwargs,
-            )
-        return gemm(x, weights.ffn_in_weight, **kwargs)
-
+    """GEMM2 + add-bias + GELU, fused into the epilogue or standalone."""
     if fuse_gelu:
-        return up_gemm(
+        return gemm(
+            x,
+            weights.ffn_in_weight,
             bias=weights.ffn_in_bias,
             activation="gelu",
             gelu_variant=gelu_variant,
@@ -101,11 +96,50 @@ def _ffn_block(
             out=out,
             tmp=tmp,
         )
-    up = up_gemm(ctx=ctx, name="gemm2", category="gemm2", out=out)
+    up = gemm(
+        x, weights.ffn_in_weight, ctx=ctx, name="gemm2", category="gemm2",
+        out=out,
+    )
     return add_bias_gelu(
         up, weights.ffn_in_bias, ctx=ctx, category="activation",
         out=out, tmp=tmp, variant=gelu_variant,
     )
+
+
+def layer_parts(tokens: int, hidden: int, split: int) -> list[slice] | None:
+    """The row parts a packed layer fans its row-local ops out over, or
+    ``None`` to run each op whole.
+
+    Up to ``split`` parts (:func:`~repro.core.parallel.row_parts`), as
+    long as every part's attention-output GEMM, the narrowest
+    projection, keeps :data:`~repro.core.parallel.SPLIT_MIN_MULADDS`
+    multiply-adds.
+    """
+    parts = row_parts(tokens, split)
+    smallest = min(p.stop - p.start for p in parts) * hidden * hidden
+    if len(parts) == 1 or smallest < SPLIT_MIN_MULADDS:
+        return None
+    return parts
+
+
+def ffn_scratch(
+    parts: list[slice], ffn_size: int, block: int = FFN_BLOCK_ROWS
+) -> list[tuple[tuple[str, tuple[int, int]], ...]]:
+    """Each FFN part's block buffers, ``(name, shape)`` in take order.
+
+    Part ``i`` takes ``ffn_up.{i}`` (the up-projection and GELU) and
+    ``gelu_tmp.{i}`` (the GELU's temporary), each as many rows as the
+    part's largest block.  The packed layer takes exactly these and
+    :func:`~repro.core.memory_planner.plan_live_forward` plans exactly
+    these, so the plan and the engine cannot drift apart.
+    """
+    return [
+        tuple(
+            (f"{name}.{i}", (min(block, part.stop - part.start), ffn_size))
+            for name in ("ffn_up", "gelu_tmp")
+        )
+        for i, part in enumerate(parts)
+    ]
 
 
 def encoder_layer_padded(
@@ -209,25 +243,30 @@ def encoder_layer_packed(
     two forms are bit-identical: each ``out=`` kernel variant replays the
     allocating variant's op sequence into preplaced storage.
 
-    Every projection (QKV, attention output, both FFN GEMMs) goes
-    through :func:`repro.kernels.batched_gemm.tile_gemm`: one BLAS call
-    covers all of ``packing``'s segments — whether that is a single
-    request's buckets or a whole cross-request megabatch tile — rather
-    than a call per segment.  Same launches, same bits, one dispatch.
+    The QKV and attention-output projections go through
+    :func:`repro.kernels.batched_gemm.tile_gemm`: one BLAS call covers
+    all of ``packing``'s segments — whether that is a single request's
+    buckets or a whole cross-request megabatch tile — rather than a
+    call per segment.  Same launches, same bits, one dispatch.
 
-    ``split > 1`` fans each row-local op (the four projections, GELU
-    and both layernorms) out over the current executor, one op at a
-    time, on up to ``split`` row parts
-    (:func:`~repro.core.parallel.row_parts`), each part writing its
-    rows of the op's output — as long as every part's attention-output
-    GEMM keeps :data:`~repro.core.parallel.SPLIT_MIN_MULADDS`
-    multiply-adds.  On one BLAS thread a GEMM row keeps its bits under
-    a row split aligned to :data:`~repro.core.parallel.ROW_ALIGN`, so
-    the result is the unsplit layer's.  Attention fans its length
-    buckets out over the executor itself, and the long kernel also
-    splits a lone bucket's tiles ``tile_split`` ways (see
+    ``split > 1`` fans each row-local op out over the current executor,
+    one op at a time, on up to ``split`` row parts (:func:`layer_parts`),
+    each part writing its rows of the op's output.  The row-local ops
+    are the two projections above, both layernorms and the FFN.  The
+    FFN is one op: each part walks its rows in blocks of
+    :data:`FFN_BLOCK_ROWS`, running the up-projection GEMM, bias and
+    GELU into a block buffer of its own (:func:`ffn_scratch`) and the
+    down-projection GEMM from there into its rows of the result, so no
+    ``[T, ffn_size]`` tensor exists.  On one BLAS thread a GEMM row
+    keeps its bits under a row cut aligned to
+    :data:`~repro.core.parallel.ROW_ALIGN`, and GELU is elementwise, so
+    the result is the unsplit, unblocked layer's.  Attention fans its
+    length buckets out over the executor itself, and the long kernel
+    also splits a lone bucket's tiles ``tile_split`` ways (see
     :func:`~repro.attention.fused_long.fused_long_mha`).  A split layer
-    runs numerics only: ``ctx`` must price nothing.
+    runs numerics only: ``ctx`` must price nothing.  Under a pricing
+    ``ctx`` the FFN runs as one block, so it records the two
+    whole-tensor launches the estimator prices.
     """
     if not opt.remove_padding:
         raise ValueError(
@@ -244,12 +283,9 @@ def encoder_layer_packed(
     context = resolve_context(ctx)
     tokens = packing.total_tokens
     hidden = config.hidden_size
-    # the narrowest projection (attention output) sets the floor
-    parts = row_parts(tokens, split)
-    smallest = min(p.stop - p.start for p in parts) * hidden * hidden
-    if len(parts) == 1 or smallest < SPLIT_MIN_MULADDS:
-        parts = None
-    if parts is not None and not isinstance(context, NullContext):
+    parts = layer_parts(tokens, hidden, split)
+    prices = not isinstance(context, NullContext)
+    if parts is not None and prices:
         raise ValueError("a split layer prices nothing; pass a NullContext")
 
     dt = x_packed.dtype
@@ -265,6 +301,11 @@ def encoder_layer_packed(
 
         def release(name: str) -> None:
             pass
+
+    def buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A buffer the FFN's parts write into, from the arena if any."""
+        got = take(name, shape)
+        return np.empty(shape, dt) if got is None else got
 
     def by_rows(op, dst: np.ndarray | None, *srcs: np.ndarray | None):
         """``op(*srcs, dst)`` over every row, or over each row part of
@@ -344,25 +385,35 @@ def encoder_layer_packed(
     )
     release("ln_tmp")
     release("proj")
+    down = buffer("ffn_down", (tokens, hidden))
+    # a pricing context records the two whole-tensor FFN launches
+    block = tokens if prices else FFN_BLOCK_ROWS
+    ffn_parts = parts or [slice(0, tokens)]
+    names = ffn_scratch(ffn_parts, config.ffn_size, block)
+    jobs = [
+        (part, *(buffer(n, shape) for n, shape in taken))
+        for part, taken in zip(ffn_parts, names)
+    ]
     gelu_variant = resolve_gelu_variant(opt.gelu_variant)
-    ffn_up = take("ffn_up", (tokens, config.ffn_size))
-    ffn = by_rows(
-        lambda x, tmp, dst: _ffn_block(
-            x, weights, opt.fuse_gelu, context, dst, tmp,
-            gelu_variant=gelu_variant,
-            segment_offsets=None if parts else packing.seq_offsets,
-        ),
-        ffn_up,
-        ln0,
-        take("gelu_tmp", (tokens, config.ffn_size)),
-    )
-    release("gelu_tmp")
-    down = by_rows(
-        project(weights.ffn_out_weight, "gemm3_ffn_out", "gemm3"),
-        take("ffn_down", (tokens, hidden)),
-        ffn,
-    )
-    release("ffn_up")
+
+    def ffn(part: slice, up: np.ndarray, tmp: np.ndarray) -> None:
+        """Up-GEMM + GELU and down-GEMM over ``part``, a block at a time."""
+        for start in range(part.start, part.stop, block):
+            rows = slice(start, min(start + block, part.stop))
+            n = rows.stop - rows.start
+            gemm(
+                _ffn_block(
+                    ln0[rows], weights, opt.fuse_gelu, context, up[:n],
+                    tmp[:n], gelu_variant=gelu_variant,
+                ),
+                weights.ffn_out_weight, ctx=context, name="gemm3_ffn_out",
+                category="gemm3", out=down[rows],
+            )
+
+    current_executor().map(lambda job: ffn(*job), jobs)
+    for taken in names:
+        for n, _ in taken:
+            release(n)
     if out is None and parts is not None:
         out = np.empty((tokens, hidden), dt)
     result = by_rows(

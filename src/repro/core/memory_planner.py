@@ -456,6 +456,7 @@ def plan_live_forward(
     dtype: np.dtype | type = np.float64,
     tile: int | None = None,
     tile_split: int = 1,
+    split: int = 1,
 ) -> ActivationTrace:
     """Symbolic take/release sequence of one *live* arena-backed forward.
 
@@ -472,10 +473,14 @@ def plan_live_forward(
     megabatch forward, whose output is ``[tile, H]``, not the padded
     ``[B * max_seq_len, H]``.  ``tile_split`` is the long kernel's
     (see :func:`~repro.attention.bucketed.tile_split`): a lone bucket
-    then takes one ``[L, L]`` tile per run.  Row-split ops take what
-    whole ones do.
+    then takes one ``[L, L]`` tile per run.  ``split`` is the row-part
+    count the layers fan out over (see
+    :func:`~repro.core.encoder.layer_parts`): each part takes its own
+    FFN block buffers (:func:`~repro.core.encoder.ffn_scratch`); every
+    other row-split op takes what a whole one does.
     """
     from repro.attention import bucketed
+    from repro.core.encoder import ffn_scratch, layer_parts
     from repro.core.padding import packing_from_lengths
 
     if not opt.remove_padding:
@@ -491,6 +496,14 @@ def plan_live_forward(
     if kernel is not None:
         packing = packing_from_lengths(lens, max_seq_len, cache=None)
         buckets = bucketed.build_buckets(packing)
+    ffn = [
+        buffer
+        for taken in ffn_scratch(
+            layer_parts(tokens, hidden, split) or [slice(0, tokens)],
+            config.ffn_size,
+        )
+        for buffer in taken
+    ]
     t = ActivationTrace()
     t.take("h0", (tokens, hidden), dtype)
     t.take("h1", (tokens, hidden), dtype)
@@ -510,11 +523,11 @@ def plan_live_forward(
         t.take("ln_tmp", (tokens, hidden), dtype)
         t.release("ln_tmp")
         t.release("proj")
-        t.take("ffn_up", (tokens, config.ffn_size), dtype)
-        t.take("gelu_tmp", (tokens, config.ffn_size), dtype)
-        t.release("gelu_tmp")
         t.take("ffn_down", (tokens, hidden), dtype)
-        t.release("ffn_up")
+        for name, shape in ffn:
+            t.take(name, shape, dtype)
+        for name, _ in ffn:
+            t.release(name)
         t.take("ln_tmp", (tokens, hidden), dtype)
         t.release("ln_tmp")
         t.release("ffn_down")
@@ -533,6 +546,7 @@ def plan_live_megabatch(
     device: DeviceSpec,
     mha: str | None = None,
     dtype: np.dtype | type = np.float64,
+    split: int = 1,
 ) -> list[ActivationTrace]:
     """Arena plans that together cover every megabatch of a tile.
 
@@ -546,6 +560,7 @@ def plan_live_megabatch(
     short limit both plans are returned; a backing of their largest
     :class:`ArenaAllocator` replay holds any megabatch of the tile, up
     to alignment slack that :meth:`LiveArena.begin` absorbs once.
+    ``split`` is the row-part count, as in :func:`plan_live_forward`.
     """
     from repro.attention.dispatch import mha_kernel
     from repro.core.estimator import canonical_tile_lengths
@@ -568,7 +583,7 @@ def plan_live_megabatch(
     return [
         plan_live_forward(
             config, opt, lens, max_seq_len,
-            device=device, mha=mha, dtype=dtype, tile=tile,
+            device=device, mha=mha, dtype=dtype, tile=tile, split=split,
         )
         for lens in layouts
     ]

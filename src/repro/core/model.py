@@ -314,13 +314,14 @@ class BertEncoderModel:
         # dispatches on its device
         device = NullContext().device
         path = forced_mha_path()
+        split = current_executor().workers
         for tile in tiles:
-            key = (tile, max_seq_len, np.dtype(dtype).str, path, device)
+            key = (tile, max_seq_len, np.dtype(dtype).str, path, device, split)
             if key not in self._reserved_plans:
                 self._reserve(
                     plan_live_megabatch(
                         self.config, self.opt, tile, max_seq_len,
-                        device=device, mha=path, dtype=dtype,
+                        device=device, mha=path, dtype=dtype, split=split,
                     ),
                 )
                 self._reserved_plans[key] = None
@@ -340,7 +341,8 @@ class BertEncoderModel:
         tile_split: int,
     ) -> None:
         """Reserve the backing for the one plan a padded-input forward
-        runs (:func:`plan_live_forward`), keyed by every input it reads."""
+        runs (:func:`plan_live_forward`), keyed by every input it reads;
+        its layers split their rows ``tile_split`` ways too."""
         path = forced_mha_path()
         key = (
             packing.seq_lens.tobytes(),
@@ -357,7 +359,7 @@ class BertEncoderModel:
                 plan_live_forward(
                     self.config, self.opt, packing.seq_lens,
                     packing.max_seq_len, device=device, mha=path,
-                    dtype=dtype, tile_split=tile_split,
+                    dtype=dtype, tile_split=tile_split, split=tile_split,
                 )
             ]
         )

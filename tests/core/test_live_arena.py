@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.attention.bucketed import (
@@ -14,20 +14,26 @@ from repro.attention.bucketed import (
 )
 from repro.attention.dispatch import force_mha_path
 from repro.core.config import RM_PADDING, STEPWISE_PRESETS, BertConfig
+from repro.core.encoder import FFN_BLOCK_ROWS
 from repro.core.memory_planner import (
     ArenaAllocator,
     LiveArena,
+    peak_live_bytes,
     plan_live_forward,
     plan_live_megabatch,
 )
 from repro.core.model import BertEncoderModel
 from repro.core.padding import (
     merge_request_lengths,
+    pack,
     pack_segments,
     packing_from_lengths,
+    packing_from_mask,
+    unpack,
 )
 from repro.core.parallel import (
     SERIAL_EXECUTOR,
+    blas_pinned,
     host_executor,
     use_executor,
     use_workers,
@@ -247,14 +253,20 @@ class TestPlannerAgreement:
         lengths=st.lists(
             st.integers(1, 2 * SHORT_LIMIT), min_size=1, max_size=5
         ),
+        full=st.sampled_from([0, 16, 64, 96]),
         dtype=st.sampled_from([np.float32, np.float64]),
         path=st.sampled_from([None, "zeropad", "cublas"]),
         preset=st.sampled_from([FUSED, RM_PADDING]),
         megabatch=st.booleans(),
-        workers=st.integers(1, 2),
+        workers=st.integers(1, 3),
     )
+    # 16, 64 and 96 full sequences and one more token leave a one-row
+    # FFN block at the end of the last row part on 1, 2 and 3 workers
+    @example([1], 16, np.float64, None, FUSED, False, 1)
+    @example([1], 64, np.float32, None, FUSED, True, 2)
+    @example([1], 96, np.float64, None, FUSED, False, 3)
     def test_plan_equals_take_sequence(
-        self, lengths, dtype, path, preset, megabatch, workers
+        self, lengths, full, dtype, path, preset, megabatch, workers
     ):
         opt = dataclasses.replace(preset, fused_mha_short_max_seq=SHORT_LIMIT)
         config = dataclasses.replace(CONFIG, num_layers=1)
@@ -262,6 +274,7 @@ class TestPlannerAgreement:
             config, opt=opt, seed=3, arena=RecordingArena()
         )
         max_seq = 2 * SHORT_LIMIT
+        lengths = lengths + [max_seq] * full
         tile = None
         with force_mha_path(path), use_workers(workers):
             if megabatch:
@@ -278,10 +291,18 @@ class TestPlannerAgreement:
         plan = plan_live_forward(
             config, opt, np.array(lengths), max_seq,
             device=A100_SPEC, mha=path, dtype=dtype, tile=tile,
-            tile_split=1 if megabatch else workers,
+            tile_split=1 if megabatch else workers, split=workers,
         )
         assert arena.closed_events() == _plan_events(plan)
         assert arena.overflow_allocs == 0
+        # the FFN holds blocks of its intermediate, never all of it
+        tokens = sum(lengths)
+        ffn_row = config.ffn_size * np.dtype(dtype).itemsize
+        for name, nbytes in _plan_events(plan):
+            if tokens > FFN_BLOCK_ROWS:
+                assert nbytes != tokens * ffn_row, name
+            if name.startswith(("ffn_up", "gelu_tmp")):
+                assert 0 < abs(nbytes) <= FFN_BLOCK_ROWS * ffn_row
 
 
 class TestHostDefaultFanout:
@@ -322,6 +343,7 @@ class TestHostDefaultFanout:
             plan = plan_live_forward(
                 CONFIG, opt, np.array(lengths), max_seq, device=A100_SPEC,
                 dtype=dtype, tile_split=host_executor().workers,
+                split=host_executor().workers,
             )
             assert fanned.arena.closed_events() == _plan_events(plan)
         # a capture and a replay (both fanned numerics) price the
@@ -579,7 +601,72 @@ class TestSplitLayers:
         assert ("mha.0.tile.1", 300 * 300 * 8) in events
         plan = plan_live_forward(
             config, opt, np.array([300]), 300, device=A100_SPEC,
-            dtype=np.float64, tile_split=2,
+            dtype=np.float64, tile_split=2, split=2,
         )
         assert events == _plan_events(plan)
         assert model.arena.overflow_allocs == 0
+
+
+class TestBlockedFfn:
+    """The FFN runs in row blocks of its own buffers: same bits as the
+    whole-tensor FFN a pricing forward runs, and a peak set by the QKV
+    phase."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "full, tail, workers",
+        [
+            (16, 1, 1),  # 768 + 1 rows: a one-row block
+            (16, 40, 1),  # a short tail block
+            (32, 0, 1),  # two whole blocks
+            (64, 1, 2),  # the second part's blocks are 768, 768 and 1
+            (96, 1, 3),  # so are the third part's
+            (70, 17, 3),  # three parts, each with a short tail block
+            (62, 24, 3),  # 3000 rows are too few to split: one part
+        ],
+    )
+    def test_blocks_keep_whole_ffn_bits(self, full, tail, workers, dtype):
+        config = dataclasses.replace(CONFIG, num_layers=1)
+        lengths = [MAX_SEQ] * full + ([tail] if tail else [])
+        x, mask = _batch(lengths, dtype=dtype)
+        model = BertEncoderModel(
+            config, opt=FUSED, seed=3, arena=RecordingArena()
+        )
+        with use_workers(workers):
+            got = model.forward(x, mask).copy()
+        assert model.arena.overflow_allocs == 0
+        # a pricing context runs the FFN as one block and records the
+        # two whole-tensor launches
+        ctx = ExecutionContext()
+        flat = x.reshape(-1, config.hidden_size)
+        packing = packing_from_mask(mask, cache=None)
+        with blas_pinned():
+            whole = model._layer_stack(pack(flat, packing), packing, ctx)
+        want = unpack(whole, packing).reshape(got.shape)
+        assert np.array_equal(got, want)
+        ffn = [
+            (r.launch.name, r.launch.flops) for r in ctx.records
+            if r.launch.category in ("gemm2", "gemm3")
+        ]
+        tokens = sum(lengths)
+        flops = 2.0 * tokens * config.hidden_size * config.ffn_size
+        assert ffn == [
+            ("gemm2_fused_bias_gelu", flops), ("gemm3_ffn_out", flops),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_offline_peak_is_the_qkv_phase(self, workers):
+        # encoder-offline's largest shape: 16 sequences uniform on
+        # [205, 1024], BERT-base width, float32.  Its peak is h0, h1,
+        # qkv and attn (six [tokens, hidden] buffers); the FFN phase
+        # holds h0, h1, ln0, ffn_down and each part's two blocks
+        config = BertConfig(num_layers=1)
+        lens = np.round(205 + (np.arange(16) + 0.5) / 16 * 819)
+        lens = lens.astype(np.int64)
+        plan = plan_live_forward(
+            config, FUSED, lens, 1024, device=A100_SPEC, dtype=np.float32,
+            tile_split=workers, split=workers,
+        )
+        qkv_phase = 6 * int(lens.sum()) * config.hidden_size * 4
+        assert peak_live_bytes(plan) == qkv_phase
+        assert ArenaAllocator().replay(plan) == qkv_phase
