@@ -26,7 +26,9 @@ Sections and their ``--check`` gates (:func:`check_invariants`):
   forward performs **zero** new large (>= 1 MiB) ndarray allocations,
   keeps the traced-peak delta within a budget proportional to the
   arena footprint (transient sub-threshold temporaries scale with the
-  token count; floor 1 MiB), and never overflows the arena.
+  token count; floor 1 MiB), leaves the arena footprint where it was
+  (a growth inside the arena's reserved mapping is invisible to
+  tracemalloc), and never overflows the arena.
 * ``host_parallel`` — one tile-quantized megabatch run serially and
   fanned out over a ``max(2, workers)``-wide thread pool: bitwise
   equal outputs, identical launch stream and modelled µs.  The nested
@@ -769,6 +771,11 @@ def run_wallclock_bench(
             and opt.remove_padding
             and fast_model.arena.forwards > 0
         )
+        # a growth served from the arena's reserved mapping is invisible
+        # to tracemalloc: the footprint must not move either
+        footprint_before = (
+            fast_model.arena.footprint_bytes if fast_model.arena else 0
+        )
         tracemalloc.start()
         snap_before = tracemalloc.take_snapshot()
         tracemalloc.reset_peak()
@@ -797,6 +804,7 @@ def run_wallclock_bench(
         "large_alloc_threshold_bytes": LARGE_ALLOC_BYTES,
         "peak_delta_bytes": peak_delta_bytes,
         "peak_budget_bytes": peak_budget_bytes,
+        "arena_footprint_before_bytes": footprint_before,
         "arena_footprint_bytes": arena_footprint,
         "arena_overflow_allocs": (
             fast_model.arena.overflow_allocs if fast_model.arena else 0
@@ -1104,6 +1112,12 @@ def check_invariants(result: dict[str, Any]) -> list[str]:
                 f"steady-state traced peak grew by "
                 f"{alloc['peak_delta_bytes']} bytes "
                 f"(budget {budget})"
+            )
+        before = alloc["arena_footprint_before_bytes"]
+        if before != alloc["arena_footprint_bytes"]:
+            failures.append(
+                f"steady-state forward grew the arena from {before} to "
+                f"{alloc['arena_footprint_bytes']} bytes"
             )
         # satellite gate: plan-driven pre-sizing means the arena never
         # falls back to np.empty, warm-up included

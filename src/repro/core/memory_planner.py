@@ -35,6 +35,9 @@ deployment).
 
 from __future__ import annotations
 
+import contextlib
+import mmap
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -196,6 +199,28 @@ class ArenaAllocator:
         return sorted(self._placements.values(), key=lambda p: p.offset)
 
 
+def _reserve_host_mapping() -> mmap.mmap | bytes:
+    """One private anonymous mapping of the host's physical memory size.
+
+    No backing can usefully be larger, and pages become resident only
+    when touched.  It is advised for transparent huge pages, as NumPy
+    advises its own large allocations.  Returns an empty buffer where
+    the host refuses the reservation (strict overcommit, an address-space
+    limit, no anonymous ``mmap``).
+    """
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        mapping = mmap.mmap(
+            -1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+        )
+    except (AttributeError, OSError, OverflowError, ValueError):
+        return b""
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):  # a kernel without THP
+            mapping.madvise(mmap.MADV_HUGEPAGE)
+    return mapping
+
+
 class LiveArena:
     """A live best-fit arena handing out ndarray views of one byte buffer.
 
@@ -205,7 +230,13 @@ class LiveArena:
       forward become invalid — including a model's returned output view,
       which is documented as valid only until the owning model's next
       arena forward.  Because nothing is live at that point, ``begin`` is
-      the only place the backing buffer may grow.
+      the only place the backing buffer may grow.  It grows in place:
+      the first growth reserves one anonymous mapping the size of the
+      host's physical memory (only touched pages are resident), and
+      every backing is a prefix of it, so a stale view aliases the new
+      forward's buffers instead of pinning an old backing.  Only when the
+      reservation is refused, or a backing would outgrow it, does the
+      backing come from ``np.empty``.
     * :meth:`take` returns a view at a best-fit offset.  During warm-up a
       request may land beyond the current backing buffer; the arena then
       falls back to a plain ``np.empty`` (counted in
@@ -221,6 +252,9 @@ class LiveArena:
     def __init__(self, alignment: int = 256) -> None:
         self.alignment = alignment
         self._buf = np.empty(0, dtype=np.uint8)
+        #: the reserved mapping the backing grows in; None until the first
+        #: growth, empty if the host refused it
+        self._map: mmap.mmap | bytes | None = None
         self._alloc = ArenaAllocator(alignment)
         #: high-water mark of aligned arena bytes any forward has needed
         self._wanted_bytes = 0
@@ -245,7 +279,14 @@ class LiveArena:
     def begin(self) -> None:
         """Start a forward pass; previous views are dead, backing may grow."""
         if self._wanted_bytes > self._buf.nbytes:
-            self._buf = np.empty(self._wanted_bytes, dtype=np.uint8)
+            if self._map is None:
+                self._map = _reserve_host_mapping()
+            if self._wanted_bytes <= len(self._map):
+                self._buf = np.frombuffer(
+                    self._map, np.uint8, count=self._wanted_bytes
+                )
+            else:
+                self._buf = np.empty(self._wanted_bytes, dtype=np.uint8)
         self._alloc = ArenaAllocator(self.alignment)
         self._live_raw = 0
         self.peak_live_bytes = 0

@@ -13,6 +13,7 @@ from repro.attention.bucketed import (
     release_bucket_scratch,
 )
 from repro.attention.dispatch import force_mha_path
+from repro.core import memory_planner
 from repro.core.config import RM_PADDING, STEPWISE_PRESETS, BertConfig
 from repro.core.encoder import FFN_BLOCK_ROWS
 from repro.core.memory_planner import (
@@ -402,6 +403,64 @@ class TestBitParity:
         first = model.forward(x, mask)
         second = model.forward(x, mask)
         assert np.shares_memory(first, second)
+
+
+#: batches whose arena plans grow one after another
+GROWING = [[9, 4], [24, 17, 9], [31, 7, 44, 18, 25, 12], [MAX_SEQ] * 8]
+
+
+def _grow(arena, dtype=np.float32):
+    """Forward every GROWING batch on one arena-backed model; checks
+    each output against an arena-free forward and returns, per forward,
+    the backing's data address, its size and the forward's events."""
+    plain = BertEncoderModel(CONFIG, opt=FUSED, seed=3)
+    backed = BertEncoderModel(CONFIG, opt=FUSED, seed=3, arena=arena)
+    steps = []
+    for lengths in GROWING:
+        x, mask = _batch(lengths, dtype=dtype)
+        assert np.array_equal(backed.forward(x, mask), plain.forward(x, mask))
+        steps.append((
+            arena._buf.__array_interface__["data"][0],
+            arena.footprint_bytes,
+            arena.closed_events(),
+        ))
+    assert arena.overflow_allocs == 0
+    sizes = [size for _, size, _ in steps]
+    assert sizes == sorted(set(sizes)), "every batch must grow the backing"
+    return steps
+
+
+class TestInPlaceGrowth:
+    """The backing grows inside one reserved mapping: a larger shape
+    never holds a second backing beside the first."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backing_address_never_changes(self, dtype):
+        # _grow also checks every output's bits and zero overflows
+        steps = _grow(RecordingArena(), dtype)
+        assert len({address for address, _, _ in steps}) == 1
+
+    def test_stale_view_shares_the_mapping(self):
+        arena = LiveArena()
+        model = BertEncoderModel(CONFIG, opt=FUSED, seed=3, arena=arena)
+        stale = model.forward(*_batch(GROWING[0]))
+        before = arena.footprint_bytes
+        model.forward(*_batch(GROWING[-1]))
+        assert arena.footprint_bytes > before
+        assert np.shares_memory(stale, arena._buf)
+
+    def test_refused_reservation_grows_through_np_empty(self, monkeypatch):
+        want = _grow(RecordingArena())
+
+        def refuse(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(memory_planner.mmap, "mmap", refuse)
+        arena = RecordingArena()
+        got = _grow(arena)
+        assert arena._buf.flags.owndata  # an np.empty backing
+        # the same plan at every step: sizes and take/release events
+        assert [step[1:] for step in got] == [step[1:] for step in want]
 
 
 class TestPlanDrivenPresize:

@@ -364,6 +364,12 @@ GATES = [
         "steady-state traced peak grew",
     ),
     (
+        "arena_footprint_moved",
+        ("sections", "steady_state_alloc", "arena_footprint_before_bytes"),
+        0,
+        "steady-state forward grew the arena from 0",
+    ),
+    (
         "arena_overflow_allocs",
         ("sections", "steady_state_alloc", "arena_overflow_allocs"),
         3,
