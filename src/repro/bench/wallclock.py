@@ -1070,7 +1070,8 @@ def check_invariants(result: dict[str, Any]) -> list[str]:
         if overflow != 0:
             failures.append(
                 f"paged KV arena performed {overflow:.0f} overflow "
-                "allocations (plan-driven pre-sizing should leave zero)"
+                "allocations (resident K/V mirrors past "
+                "2x capacity_tokens rows; bounded mirrors leave zero)"
             )
         for name, leg in decode["bitwise"].items():
             if leg["served"] == 0:

@@ -630,40 +630,6 @@ def plan_live_megabatch(
     ]
 
 
-def plan_paged_kv_arena(
-    hidden: int,
-    capacity_tokens: int,
-    block_tokens: int,
-    *,
-    dtype: np.dtype | type = np.float64,
-) -> ActivationTrace:
-    """Symbolic arena plan for a paged KV-cache block pool.
-
-    The decode-serving KV arena (:class:`repro.decoder.paged_kv.PagedKVArena`)
-    holds one persistent ``[blocks, block_tokens, 2, hidden]`` tensor in a
-    :class:`LiveArena`.  This mirrors that single allocation name for name,
-    the same way :func:`plan_live_forward` plans an encoder forward,
-    so the runtime can ``reserve()`` the exact backing bytes up front and
-    the pool is served from the backing from the first ``take`` — zero
-    overflow allocations ever, which the ``decode_serving`` bench gates.
-    """
-    if hidden <= 0:
-        raise ValueError(f"hidden must be positive, got {hidden}")
-    if block_tokens <= 0:
-        raise ValueError(f"block_tokens must be positive, got {block_tokens}")
-    if capacity_tokens < block_tokens:
-        raise ValueError(
-            f"capacity_tokens {capacity_tokens} below one block "
-            f"({block_tokens} tokens)"
-        )
-    blocks = -(-int(capacity_tokens) // int(block_tokens))
-    elem = np.dtype(dtype).itemsize
-    t = ActivationTrace()
-    t.alloc("kv_blocks", blocks * block_tokens * 2 * hidden * elem)
-    t.free_all()
-    return t
-
-
 class ScratchPool:
     """Per-thread reusable scratch for kernel temporaries.
 
@@ -677,8 +643,7 @@ class ScratchPool:
     Contract: a borrowed buffer is valid only until the same thread's
     next :meth:`take` of the same dtype — exactly one live borrow per
     thread per dtype, which the non-nesting kernel epilogues satisfy.
-    Thread-locality makes the pool safe under the thread executor, and
-    fork gives each process worker its own copy-on-write pool.
+    Thread-locality makes the pool safe under the thread executor.
     """
 
     def __init__(self) -> None:

@@ -9,8 +9,9 @@ length —
 * :mod:`~repro.decoder.generation`: the packed KV cache, the batched
   single-token decode-attention step and the decode cell that
   :class:`~repro.serving.generation.GenerationRuntime` serves;
-* :mod:`~repro.decoder.paged_kv`: the block-managed KV arena with
-  swap-based eviction under memory pressure;
+* :mod:`~repro.decoder.paged_kv`: the paged KV arena — block tables
+  that model memory pressure over one contiguous K/V store per stream,
+  with swap-based eviction that moves a stream's store, never copies it;
 * :mod:`~repro.decoder.estimator`: shape-only pricing of mixed
   prefill/decode rounds (batched, per-request looped, and tile-quantized
   with graph replay);

@@ -1,44 +1,47 @@
-"""Paged KV-cache arena: fixed-size blocks over one live backing buffer.
+"""Paged KV-cache arena: block tables over one contiguous store per stream.
 
 TurboTransformers showed decoder serving needs block-managed dynamic
 memory; vLLM-style paged attention made the block table the unit of
-bookkeeping.  This module is that design on the repo's own substrate: a
-persistent block pool carved out of a :class:`~repro.core.memory_planner.
-LiveArena`, per-request block tables, and swap-based eviction under
-memory pressure.
+bookkeeping.  This module keeps that bookkeeping — per-request block
+tables handed out of a fixed pool, and swap-based eviction under memory
+pressure — while each stream's K/V rows live in exactly one place, its
+contiguous mirror.  PackInfer's point is that contiguous per-request KV
+is what batched decode attention reads; the block tables are the
+pressure model, not a second copy of the rows.
 
 Contract highlights:
 
-* the pool is **one** arena tensor ``[blocks, block_tokens, 2, hidden]``
-  taken once at construction.  :func:`~repro.core.memory_planner.
-  plan_paged_kv_arena` predicts its exact bytes, the constructor
-  ``reserve()``s them, so the pool is backed from the first take and
-  :attr:`overflow_allocs` stays 0 — the gate the ``decode_serving``
-  bench section enforces;
+* every request appended through :meth:`append_rows` keeps one
+  contiguous float64 host *mirror* of its K and V (``[cap, H]`` each,
+  grown in place by capacity doubling).  It is the only numeric copy of
+  the rows.  :meth:`gathered` returns zero-copy ``[len, H]`` views of
+  it — bitwise the rows that went in, in order, exactly what
+  :meth:`PackedKVCache.keys`/``values`` stack for the oracle;
 * K/V rows are stored in the engine's float64 numerics (like the
   megabatch arena); the *modelled* deployment bytes the telemetry gauges
-  report are FP16 (:data:`~repro.gpusim.memory.BYTES_PER_ELEMENT`),
-  matching :attr:`~repro.decoder.generation.PackedKVCache.packed_bytes`.
+  report are FP16 (:data:`~repro.gpusim.memory.BYTES_PER_ELEMENT`) and
+  come from block counts, matching
+  :attr:`~repro.decoder.generation.PackedKVCache.packed_bytes`.
   The float32 decode-cell weights meet these rows in float64 GEMMs, so
   the serving runtime casts them to float64 once per runtime rather than
   letting numpy cast them on every call — the same dgemm on the same
   float64 operands, hence the same bits;
 * :meth:`append_rows` raises :class:`KVPressureError` instead of
-  over-allocating when the pool is exhausted — before it mutates
+  over-allocating when the block pool is exhausted — before it mutates
   anything — which is the runtime's cue to swap out a victim
-  (:meth:`swap_out`) and resume it later from the host copy
-  (:meth:`swap_in`), bit for bit;
-* besides its blocks, every request appended through :meth:`append_rows`
-  keeps a contiguous float64 host *mirror* of its K and V (``[cap, H]``
-  each, grown in place by capacity doubling).  :meth:`gathered` returns
-  zero-copy ``[len, H]`` views of it — bitwise the rows that went in,
-  in order, exactly what :meth:`PackedKVCache.keys`/``values`` stack for
-  the oracle — so a decode step reads its context without regathering
-  it from the blocks.  The pool stays the authoritative, modelled
-  store: :meth:`swap_out` copies the host copy out of the blocks, drops
-  the mirror, and :meth:`swap_in` rebuilds it through
-  :meth:`append_rows`;
-* :meth:`append_lengths` is the cost plane's append: the same block
+  (:meth:`swap_out`) and resume it later (:meth:`swap_in`), bit for
+  bit.  A swap moves the mirror, it never copies it: :meth:`swap_out`
+  returns the stream's blocks and keeps its mirror as the host copy,
+  :meth:`swap_in` claims fresh blocks and puts the same mirror back;
+* capacity doubling keeps each resident mirror under twice its
+  stream's length, and the block tables cap the total length at
+  :attr:`capacity_tokens`, so the resident mirrors hold at most
+  ``2 * capacity_tokens`` rows.  :attr:`overflow_allocs` counts the
+  mirror growths and restores that take :attr:`resident_rows` past that
+  bound — 0 in every correct run, the gate the ``decode_serving`` bench
+  section enforces; a stream freed or swapped out while still counted
+  resident trips it;
+* :meth:`append_tokens` is the cost plane's append: the same block
   bookkeeping and pressure check on a row count alone, with no rows
   written and no mirror built.
 """
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.memory_planner import LiveArena, plan_paged_kv_arena, peak_live_bytes
 from repro.gpusim.memory import BYTES_PER_ELEMENT
 
 #: default tokens per KV block — small enough that ragged contexts waste
@@ -79,32 +81,37 @@ class PagedKVArena:
         capacity_tokens: int,
         *,
         block_tokens: int = DEFAULT_KV_BLOCK_TOKENS,
-        dtype: np.dtype | type = np.float64,
     ) -> None:
-        plan = plan_paged_kv_arena(
-            hidden, capacity_tokens, block_tokens, dtype=dtype
-        )
+        if hidden <= 0:
+            raise ValueError(f"hidden must be positive, got {hidden}")
+        if block_tokens <= 0:
+            raise ValueError(
+                f"block_tokens must be positive, got {block_tokens}"
+            )
+        if capacity_tokens < block_tokens:
+            raise ValueError(
+                f"capacity_tokens {capacity_tokens} below one block "
+                f"({block_tokens} tokens)"
+            )
         self.hidden = int(hidden)
         self.block_tokens = int(block_tokens)
         self.num_blocks = -(-int(capacity_tokens) // int(block_tokens))
-        self.dtype = np.dtype(dtype)
-        self._arena = LiveArena()
-        self._arena.reserve(peak_live_bytes(plan))
-        self._arena.begin()
-        #: the whole pool: ``[block, slot, 0=K/1=V, hidden]``
-        self._pool = self._arena.take(
-            "kv_blocks",
-            (self.num_blocks, self.block_tokens, 2, self.hidden),
-            self.dtype,
-        )
         self._free: list[int] = list(range(self.num_blocks - 1, -1, -1))
         self._tables: dict[int, list[int]] = {}
         self._lengths: dict[int, int] = {}
-        #: swapped-out requests: ``rid -> (len, [len, 2, H] host copy)``;
-        #: a length-only request keeps no copy (``None``)
-        self._swapped: dict[int, tuple[int, np.ndarray | None]] = {}
+        #: swapped-out requests: ``rid -> (len, mirror)``, the mirror
+        #: moved out of :attr:`_mirrors` as the host copy; a length-only
+        #: request keeps no copy (``None``)
+        self._swapped: dict[
+            int, tuple[int, tuple[np.ndarray, np.ndarray] | None]
+        ] = {}
         #: contiguous host mirrors: ``rid -> ([cap, H] K, [cap, H] V)``
         self._mirrors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: rows (capacity, not length) of the mirrors in :attr:`_mirrors`
+        self.resident_rows = 0
+        #: mirror growths and restores past ``2 * capacity_tokens``
+        #: resident rows
+        self.overflow_allocs = 0
         self.evictions = 0
         self.swap_ins = 0
         self.peak_live_blocks = 0
@@ -127,12 +134,6 @@ class PagedKVArena:
     def live_tokens(self) -> int:
         """Valid (non-tail) KV tokens resident in the pool."""
         return sum(self._lengths.values())
-
-    @property
-    def overflow_allocs(self) -> int:
-        """Pool takes served by ``np.empty`` instead of the backing —
-        0 forever when the plan-driven reserve sized the backing."""
-        return self._arena.overflow_allocs
 
     @property
     def live_bytes(self) -> int:
@@ -213,11 +214,25 @@ class PagedKVArena:
         self._lengths[rid] = length + count
         return length
 
+    def _hold(self, rows: int) -> None:
+        """Count ``rows`` more resident mirror rows; a resident set past
+        ``2 * capacity_tokens`` rows is an overflow."""
+        self.resident_rows += rows
+        if self.resident_rows > 2 * self.capacity_tokens:
+            self.overflow_allocs += 1
+
+    def _release(self, rid: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Take ``rid``'s mirror (if any) out of the resident set."""
+        mirror = self._mirrors.pop(rid, None)
+        if mirror is not None:
+            self.resident_rows -= mirror[0].shape[0]
+        return mirror
+
     def append_rows(
         self, rid: int, k_rows: np.ndarray, v_rows: np.ndarray
     ) -> None:
-        """Append ``[n, H]`` key/value rows to ``rid``'s paged history
-        and to its contiguous mirror."""
+        """Append ``[n, H]`` key/value rows to ``rid``'s block table and
+        to its contiguous mirror."""
         if k_rows.ndim != 2 or k_rows.shape[1] != self.hidden:
             raise ValueError(
                 f"expected [n, {self.hidden}] key rows, got {k_rows.shape}"
@@ -230,29 +245,21 @@ class PagedKVArena:
             )
         n = k_rows.shape[0]
         length = self._claim(rid, n)
-        # the pool: one slice copy per block the rows land in
-        table, block = self._tables[rid], self.block_tokens
-        done = 0
-        while done < n:
-            pos = length + done
-            blk, slot = table[pos // block], pos % block
-            take = min(block - slot, n - done)
-            self._pool[blk, slot : slot + take, 0] = k_rows[done : done + take]
-            self._pool[blk, slot : slot + take, 1] = v_rows[done : done + take]
-            done += take
         # the mirror: grown by capacity doubling, then appended in place
         mirror = self._mirrors.get(rid)
         need = length + n
         if mirror is None or mirror[0].shape[0] < need:
-            cap = need if mirror is None else max(need, 2 * mirror[0].shape[0])
+            had = 0 if mirror is None else mirror[0].shape[0]
+            cap = max(need, 2 * had)
             grown = (
-                np.empty((cap, self.hidden), self.dtype),
-                np.empty((cap, self.hidden), self.dtype),
+                np.empty((cap, self.hidden), np.float64),
+                np.empty((cap, self.hidden), np.float64),
             )
             if mirror is not None:
                 grown[0][:length] = mirror[0][:length]
                 grown[1][:length] = mirror[1][:length]
             self._mirrors[rid] = mirror = grown
+            self._hold(cap - had)
         mirror[0][length:need] = k_rows
         mirror[1][length:need] = v_rows
 
@@ -287,20 +294,9 @@ class PagedKVArena:
         values.flags.writeable = False
         return keys, values
 
-    def _walk(self, rid: int) -> np.ndarray:
-        """``rid``'s ``[len, 2, H]`` K/V copied out of its pool blocks."""
-        length = self.context_len(rid)
-        out = np.empty((length, 2, self.hidden), self.dtype)
-        # a table holds exactly the blocks its length needs
-        for i, blk in enumerate(self._tables[rid]):
-            lo = i * self.block_tokens
-            take = min(length - lo, self.block_tokens)
-            out[lo : lo + take] = self._pool[blk, :take]
-        return out
-
     def free(self, rid: int) -> None:
         """Return ``rid``'s blocks to the pool (request finished)."""
-        self._mirrors.pop(rid, None)
+        self._release(rid)
         self._lengths.pop(rid, None)
         table = self._tables.pop(rid, None)
         if table is None:
@@ -311,18 +307,16 @@ class PagedKVArena:
     # -- eviction / preemption -----------------------------------------
 
     def swap_out(self, rid: int) -> int:
-        """Evict ``rid`` to a host copy; returns the tokens swapped.
+        """Evict ``rid`` to the host; returns the tokens swapped.
 
-        The request's blocks return to the pool and its mirror is
-        dropped; its K/V survive in a host-side copy taken from the
-        blocks, so :meth:`swap_in` restores them bit for bit — a
-        preempted request resumes from its KV, never recomputes it.  A
-        length-only request keeps its length alone.
+        The request's blocks return to the pool and its mirror moves,
+        uncopied, to the swapped set as the host copy, so
+        :meth:`swap_in` restores it bit for bit — a preempted request
+        resumes from its KV, never recomputes it.  A length-only
+        request keeps its length alone.
         """
         length = self.context_len(rid)
-        rows = self._mirrors.pop(rid, None) is not None
-        host = self._walk(rid) if rows else None
-        self._swapped[rid] = (length, host)
+        self._swapped[rid] = (length, self._release(rid))
         table = self._tables.pop(rid)
         self._free.extend(reversed(table))
         self._lengths.pop(rid)
@@ -330,12 +324,12 @@ class PagedKVArena:
         return length
 
     def swap_in(self, rid: int) -> int:
-        """Restore a swapped-out request into fresh blocks (and, for a
-        request with rows, a fresh mirror)."""
+        """Restore a swapped-out request into fresh blocks, putting its
+        mirror (if it has one) back in place."""
         entry = self._swapped.get(rid)
         if entry is None:
             raise KeyError(f"request {rid} is not swapped out")
-        length, host = entry
+        length, mirror = entry
         need = -(-length // self.block_tokens)
         if need > len(self._free):
             raise KVPressureError(
@@ -343,9 +337,9 @@ class PagedKVArena:
                 f"{len(self._free)} free"
             )
         del self._swapped[rid]
-        if host is None:
-            self.append_tokens(rid, length)
-        else:
-            self.append_rows(rid, host[:, 0], host[:, 1])
+        self._claim(rid, length)
+        if mirror is not None:
+            self._mirrors[rid] = mirror
+            self._hold(mirror[0].shape[0])
         self.swap_ins += 1
         return length

@@ -452,8 +452,7 @@ class _DecodePlanner:
                 ),
             )
         self.arena = arena = PagedKVArena(
-            rt.config.hidden_size, capacity, block_tokens=block,
-            dtype=np.float64,
+            rt.config.hidden_size, capacity, block_tokens=block
         )
         rt.arena = arena
 

@@ -1,4 +1,4 @@
-"""Paged KV arena: block tables, eviction/resume, zero-overflow pool."""
+"""Paged KV arena: block tables, eviction/resume, the resident-mirror bound."""
 
 import numpy as np
 import pytest
@@ -19,6 +19,17 @@ def rows(rng, n):
     return rng.normal(size=(n, HIDDEN)), rng.normal(size=(n, HIDDEN))
 
 
+def churn(arena, rng):
+    """Fill the arena, swap every stream out and back in, free it; x3."""
+    for _ in range(3):
+        for rid in range(4):
+            arena.append_rows(rid, *rows(rng, 13))
+        for rid in range(4):
+            arena.swap_out(rid)
+            arena.swap_in(rid)
+            arena.free(rid)
+
+
 class TestPool:
     def test_capacity_rounds_up_to_whole_blocks(self):
         arena = PagedKVArena(HIDDEN, 50, block_tokens=16)
@@ -31,13 +42,20 @@ class TestPool:
 
     def test_zero_overflow_allocs_across_full_churn(self, rng):
         arena = PagedKVArena(HIDDEN, 64, block_tokens=8)
-        for cycle in range(3):
-            for rid in range(4):
-                arena.append_rows(rid, *rows(rng, 13))
-            for rid in range(4):
-                arena.free(rid)
+        churn(arena, rng)
         assert arena.overflow_allocs == 0
+        assert arena.resident_rows == 0
         assert arena.free_blocks == arena.num_blocks
+
+    def test_a_leaked_mirror_trips_the_overflow_gate(self, rng, monkeypatch):
+        # free and swap_out drop the mirror but leave it counted resident
+        monkeypatch.setattr(
+            PagedKVArena, "_release",
+            lambda self, rid: self._mirrors.pop(rid, None),
+        )
+        arena = PagedKVArena(HIDDEN, 64, block_tokens=8)
+        churn(arena, rng)
+        assert arena.overflow_allocs > 0
 
     def test_block_handout_is_deterministic_lifo(self, rng):
         a = PagedKVArena(HIDDEN, 64, block_tokens=8)
@@ -123,14 +141,19 @@ class TestPressure:
         arena = PagedKVArena(HIDDEN, 64, block_tokens=8)
         k, v = rows(rng, 13)
         arena.append_rows(0, k, v)
+        held, _ = arena.gathered(0)
         assert arena.swap_out(0) == 13
         assert arena.is_swapped(0)
         assert not arena.has(0)
         assert arena.free_blocks == arena.num_blocks
+        assert arena.resident_rows == 0
         assert arena.swap_in(0) == 13
         keys, values = arena.gathered(0)
         np.testing.assert_array_equal(keys, k)
         np.testing.assert_array_equal(values, v)
+        # the swap moved the mirror; it never copied it
+        assert np.shares_memory(keys, held)
+        assert arena.resident_rows == 13
         assert arena.evictions == 1
         assert arena.swap_ins == 1
 
@@ -223,12 +246,14 @@ OPS = st.tuples(
 
 def arena_state(arena):
     """Everything a refused append or swap-in must leave untouched:
-    lengths, tables, free stack, swapped set and the mirror bytes."""
+    lengths, tables, free stack, swapped set, resident and overflow
+    counts, and the mirror bytes."""
     return (
         dict(arena._lengths),
         {rid: tuple(t) for rid, t in arena._tables.items()},
         list(arena._free),
         sorted(arena._swapped),
+        (arena.resident_rows, arena.overflow_allocs),
         {
             rid: (id(k), id(v), k.view(np.uint8).copy(), v.view(np.uint8).copy())
             for rid, (k, v) in arena._mirrors.items()
@@ -237,18 +262,19 @@ def arena_state(arena):
 
 
 def assert_same_state(before, after):
-    assert before[:4] == after[:4]
-    assert before[4].keys() == after[4].keys()
-    for rid, (kid, vid, kbytes, vbytes) in before[4].items():
-        assert after[4][rid][:2] == (kid, vid)
-        assert np.array_equal(after[4][rid][2], kbytes)
-        assert np.array_equal(after[4][rid][3], vbytes)
+    assert before[:5] == after[:5]
+    assert before[5].keys() == after[5].keys()
+    for rid, (kid, vid, kbytes, vbytes) in before[5].items():
+        assert after[5][rid][:2] == (kid, vid)
+        assert np.array_equal(after[5][rid][2], kbytes)
+        assert np.array_equal(after[5][rid][3], vbytes)
 
 
 class TestArenaProperty:
     """Generated op sequences: after every op, each resident request's
-    gathered K/V equal the pool's own blocks and a ``PackedKVCache``
-    fed the same rows, bit for bit; a refused op changes nothing."""
+    gathered K/V equal a ``PackedKVCache`` fed the same rows, bit for
+    bit; the resident mirrors stay within the overflow gate's bound;
+    a refused op changes nothing."""
 
     @given(
         block=st.sampled_from((1, 3, 8, 16)),
@@ -257,7 +283,7 @@ class TestArenaProperty:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=120, deadline=None, derandomize=True)
-    def test_ops_keep_mirror_pool_and_oracle_bitwise(
+    def test_ops_keep_mirror_bound_and_oracle_bitwise(
         self, block, capacity, ops, seed
     ):
         rng = np.random.default_rng(seed)
@@ -303,11 +329,16 @@ class TestArenaProperty:
                 if not arena.has(live):
                     continue
                 keys, values = arena.gathered(live)
-                pool = arena._walk(live)
-                assert np.array_equal(keys, pool[:, 0])
-                assert np.array_equal(values, pool[:, 1])
                 assert np.array_equal(keys, oracle[live].keys(0))
                 assert np.array_equal(values, oracle[live].values(0))
+            # only resident requests hold counted mirrors, each under
+            # twice its length: the 2 * capacity bound the gate counts
+            for live, (keys, _) in arena._mirrors.items():
+                assert keys.shape[0] <= 2 * arena.context_len(live)
+            assert arena.resident_rows == sum(
+                keys.shape[0] for keys, _ in arena._mirrors.values()
+            )
+            assert arena.resident_rows <= 2 * arena.capacity_tokens
             assert arena.overflow_allocs == 0
             assert arena.live_tokens == sum(
                 len(oracle[r].keys(0)) for r in oracle if arena.has(r)

@@ -115,6 +115,16 @@ def test_check_invariants_passes_and_detects_breakage(result):
     assert any("large allocations" in f for f in failures)
 
 
+def test_committed_snapshot_passes_check():
+    """``BENCH_wallclock.json`` carries every field the gates read, so a
+    new gate field lands together with a regenerated snapshot."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    snapshot = json.loads((root / "BENCH_wallclock.json").read_text())
+    assert check_invariants(snapshot) == []
+
+
 def test_json_round_trip(result, tmp_path):
     path = write_bench_json(result, tmp_path / "bench.json")
     loaded = json.loads(path.read_text())
@@ -472,7 +482,8 @@ GATES = [
         "decode-kv_overflow",
         ("sections", "decode_serving", "mixed", "kv", "overflow_allocs"),
         2,
-        "paged KV arena performed 2 overflow allocations",
+        "paged KV arena performed 2 overflow allocations (resident K/V "
+        "mirrors past 2x capacity_tokens rows",
     ),
     *_leg_gates("decode", ("clean", "chaos_evict")),
     (

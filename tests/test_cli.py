@@ -259,6 +259,32 @@ class TestLoadtest:
         assert "Traceback" not in err
 
 
+class TestGenerate:
+    def test_tight_arena_evicts_resumes_and_passes_check(
+        self, capsys, tmp_path
+    ):
+        report = tmp_path / "generate-report.json"
+        rc = main(
+            [
+                "generate",
+                "--quick",
+                "--check",
+                "--fault-rate", "0.2",
+                "--kv-capacity-tokens", "128",
+                "--out", str(report),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "all generate gates hold" in out
+        payload = json.loads(report.read_text())
+        assert payload["gate_failures"] == []
+        assert payload["oracle_checked"] > 0
+        kv = payload["kv_stats"]
+        assert kv["evictions"] > 0 and kv["swap_ins"] > 0
+        assert kv["overflow_allocs"] == 0
+
+
 class TestExplain:
     def _args(self, *extra):
         return ["explain", "--quick", "--seed", "7", *extra]
